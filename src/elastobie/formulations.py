@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import kernel_split
+from .kernels import _kernel_splits
 from .materials import Material, trace_and_traction
 from .multipliers import (Symbol, make_transmission_regularizer, ps_dtn,
                           symbol_matrix, symbol_transpose, apply_multiplier)
@@ -89,8 +89,8 @@ class PotentialRepresentation:
 def boundary_operators(material: Material, grid, tags=("V", "K", "Kt", "W")) -> dict:
     """Assemble the requested dense boundary integral operators."""
     quad = build_quadrature(grid.n)
-    return {tag: assemble_bio(kernel_split(material, grid, tag), quad, grid).matrix
-            for tag in tags}
+    splits = _kernel_splits(material, grid, tags)
+    return {tag: assemble_bio(splits[tag], quad, grid).matrix for tag in tags}
 
 
 def calderon_matrix(material: Material, grid, ops: dict | None = None) -> np.ndarray:

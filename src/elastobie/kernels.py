@@ -23,14 +23,16 @@ kernel formula into the formula for its log r coefficient, and the factor 1/2
 converts log r into log(4 sin^2((tau-t)/2)).  M_smooth follows by subtraction
 off the diagonal; diagonal values of M_smooth (and of M_log for W) are
 obtained by even-part Richardson extrapolation along the parameterization.
+All kernels requested for one material and grid share one pair-field build
+and one radial suite per basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.special import jv
 
 from .special import radial_suite
 
@@ -68,10 +70,15 @@ def _dot(a, b):
 
 
 class _PairFields:
-    """Geometric fields for batches of (row, column) point/normal pairs."""
+    """Geometric fields for batches of (row, column) point/normal pairs.
+
+    The traction fields TA, TB and TC enter the hypersingular kernel only and
+    are built on first use.
+    """
 
     def __init__(self, material, x_r, nu_r, x_c, nu_c):
-        lam, mu = material.lam, material.mu
+        self.lam, self.mu = lam, mu = material.lam, material.mu
+        self.nu_r, self.nu_c = nu_r, nu_c
         self.rvec = x_r - x_c
         self.r = np.linalg.norm(self.rvec, axis=-1)
         r2 = (self.r**2)[..., None, None]
@@ -80,29 +87,39 @@ class _PairFields:
         self.U2c = self._u2(lam, mu, nu_c, self.rvec, self.G)
         self.U1r = self._u1(lam, mu, nu_r, self.rvec)
         self.U2r = self._u2(lam, mu, nu_r, self.rvec, self.G)
-        # Traction (at the row point, normal nu_r =: m) of the matrix fields
-        # A = U1^T(nu_c, r), B = G A, C = U2^T(nu_c, r) appearing in the
-        # double-layer kernel.  Built from the verified primitive identities
-        #   T[f(r) I] = (f'/r) U1(m, r),    T[G] = (1/r^2) U2(m, r),
-        #   T[r nu^T] = 2(lam+mu) m nu^T,
-        #   T[nu r^T] = T[(nu.r) I] = lam m nu^T + mu nu m^T + mu (m.nu) I,
-        #   T[w r^T]  = lam m w^T + mu w m^T + mu (m.w) I + T(w) r^T.
+
+    # Traction (at the row point, normal nu_r =: m) of the matrix fields
+    # A = U1^T(nu_c, r), B = G A, C = U2^T(nu_c, r) appearing in the
+    # double-layer kernel.  Built from the verified primitive identities
+    #   T[f(r) I] = (f'/r) U1(m, r),    T[G] = (1/r^2) U2(m, r),
+    #   T[r nu^T] = 2(lam+mu) m nu^T,
+    #   T[nu r^T] = T[(nu.r) I] = lam m nu^T + mu nu m^T + mu (m.nu) I,
+    #   T[w r^T]  = lam m w^T + mu w m^T + mu (m.w) I + T(w) r^T.
+
+    @cached_property
+    def _traction_terms(self):
+        """nu_r nu_c^T, Q = T[nu_c r^T], T[G], r.nu_c and Q G."""
+        lam, mu, nu_r, nu_c = self.lam, self.mu, self.nu_r, self.nu_c
         nrc = _outer(nu_r, nu_c)
-        ncr = _outer(nu_c, nu_r)
         nn = _dot(nu_r, nu_c)[..., None, None]
-        Q = lam * nrc + mu * ncr + mu * nn * _I2
+        Q = lam * nrc + mu * _outer(nu_c, nu_r) + mu * nn * _I2
         TG = self.U2r / (self.r**2)[..., None, None]
         rnu_c = _dot(self.rvec, nu_c)[..., None, None]
-        self.TA = 2.0 * lam * (lam + mu) * nrc + 2.0 * mu * Q
-        self.TC = (
-            2.0 * (lam + 2.0 * mu) * (lam + mu) * nrc
-            + 2.0 * mu * Q
-            - 4.0 * mu * (Q @ self.G)
-            - 4.0 * mu * rnu_c * TG
-        )
-        w = np.einsum("...ij,...j->...i", self.G, nu_c)
-        TGnu = np.einsum("...ij,...j->...i", TG, nu_c)
-        self.TB = (
+        return nrc, Q, TG, rnu_c, Q @ self.G
+
+    @cached_property
+    def TA(self):
+        lam, mu = self.lam, self.mu
+        nrc, Q = self._traction_terms[:2]
+        return 2.0 * lam * (lam + mu) * nrc + 2.0 * mu * Q
+
+    @cached_property
+    def TB(self):
+        lam, mu, nu_r = self.lam, self.mu, self.nu_r
+        nrc, Q, TG, rnu_c, QG = self._traction_terms
+        w = np.einsum("...ij,...j->...i", self.G, self.nu_c)
+        TGnu = np.einsum("...ij,...j->...i", TG, self.nu_c)
+        return (
             2.0 * lam * (lam + mu) * nrc
             + mu
             * (
@@ -111,8 +128,19 @@ class _PairFields:
                 + mu * _dot(nu_r, w)[..., None, None] * _I2
             )
             + mu * _outer(TGnu, self.rvec)
-            + mu * (Q @ self.G)
+            + mu * QG
             + mu * rnu_c * TG
+        )
+
+    @cached_property
+    def TC(self):
+        lam, mu = self.lam, self.mu
+        nrc, Q, TG, rnu_c, QG = self._traction_terms
+        return (
+            2.0 * (lam + 2.0 * mu) * (lam + mu) * nrc
+            + 2.0 * mu * Q
+            - 4.0 * mu * QG
+            - 4.0 * mu * rnu_c * TG
         )
 
     @staticmethod
@@ -132,40 +160,52 @@ class _PairFields:
         )
 
 
-def _kernel_values(material, pf: _PairFields, tag: str, basis: str):
-    """Evaluate the kernel (basis='hankel') or its log r coefficient
-    (basis='log') on a batch of point pairs.  Shape (..., 2, 2)."""
-    r = pf.r
-    rs = radial_suite(material, r, basis=basis, second=(tag == "W"))
-    if tag == "V":
-        return rs.Phi1[..., None, None] * _I2 + rs.Phi2[..., None, None] * pf.G
-    rc = r[..., None, None]
+def _kernel_values(pf: _PairFields, rs, tags) -> dict:
+    """Evaluate the kernels `tags` on a batch of point pairs: the kernels
+    themselves from a Hankel-basis radial suite `rs`, their log r
+    coefficients from a log-basis one.  Values have shape (..., 2, 2)."""
+    out = {}
+    if "V" in tags:
+        out["V"] = rs.Phi1[..., None, None] * _I2 + rs.Phi2[..., None, None] * pf.G
+    if not set(tags) - {"V"}:
+        return out
+    rc = pf.r[..., None, None]
     f1 = rs.dPhi1[..., None, None] / rc
     f2 = rs.dPhi2[..., None, None] / rc
     f3 = rs.Phi2[..., None, None] / rc**2
-    if tag == "K":
-        U1T = np.swapaxes(pf.U1c, -1, -2)
-        U2T = np.swapaxes(pf.U2c, -1, -2)
-        return -f1 * U1T - f2 * (pf.G @ U1T) - f3 * U2T
-    if tag == "Kt":
-        return f1 * pf.U1r + f2 * (pf.U1r @ pf.G) + f3 * pf.U2r
-    if tag == "W":
+    A = np.swapaxes(pf.U1c, -1, -2)
+    C = np.swapaxes(pf.U2c, -1, -2)
+    GA = pf.G @ A
+    if "K" in tags:
+        out["K"] = -f1 * A - f2 * GA - f3 * C
+    if "Kt" in tags:
+        out["Kt"] = f1 * pf.U1r + f2 * (pf.U1r @ pf.G) + f3 * pf.U2r
+    if "W" in tags:
         # W = T_tau K(tau, t) with T_tau(g(r) I) = (g'/r) U1(nu_tau, r).
         f1p = rs.d2Phi1[..., None, None] / rc**2 - rs.dPhi1[..., None, None] / rc**3
         f2p = rs.d2Phi2[..., None, None] / rc**2 - rs.dPhi2[..., None, None] / rc**3
         f3p = rs.dPhi2[..., None, None] / rc**3 - 2.0 * rs.Phi2[..., None, None] / rc**4
-        A = np.swapaxes(pf.U1c, -1, -2)
-        C = np.swapaxes(pf.U2c, -1, -2)
         V1 = pf.U1r
-        return (
+        out["W"] = (
             -f1p * (V1 @ A)
             - f1 * pf.TA
-            - f2p * (V1 @ (pf.G @ A))
+            - f2p * (V1 @ GA)
             - f2 * pf.TB
             - f3p * (V1 @ C)
             - f3 * pf.TC
         )
-    raise ValueError(f"unknown kernel tag {tag!r}")
+    return out
+
+
+def _split_values(material, pf: _PairFields, tags) -> tuple[dict, dict]:
+    """Log coefficients M_log = (1/2) [kernel]_log and kernel values of every
+    tag in `tags` on a batch of pairs, from one radial suite per basis."""
+    second = "W" in tags
+    logs = _kernel_values(pf, radial_suite(material, pf.r, basis="log",
+                                           second=second), tags)
+    fulls = _kernel_values(pf, radial_suite(material, pf.r, basis="hankel",
+                                            second=second), tags)
+    return {tag: 0.5 * v for tag, v in logs.items()}, fulls
 
 
 def _c_hs(material, tag):
@@ -212,23 +252,31 @@ class KernelSplit:
     M_smooth: np.ndarray = field(repr=False)
 
 
-def _remainder_fn(material, grid, tag, mlog_fn):
-    """Smooth remainder (tau, t) -> kernel - singular parts - log part,
-    evaluable at arbitrary parameter pairs (used near/at the diagonal)."""
+def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
+    """Diagonal limits of M_smooth for every tag and of M_log for W.
+
+    The smooth remainder kernel - singular parts - log part (and the W log
+    coefficient) is evaluated at parameter pairs (t_i +- h, t_i) from one
+    pair-field build per step and extrapolated to h -> 0.
+    """
     curve = grid.curve
+    with_w_log = "W" in tags
 
     def fn(tau, t):
-        x_r, nu_r = curve.eval(tau), curve.normal(tau)
-        x_c, nu_c = curve.eval(t), curve.normal(t)
-        pf = _PairFields(material, x_r, nu_r, x_c, nu_c)
-        full = _kernel_values(material, pf, tag, "hankel")
+        pf = _PairFields(material, curve.eval(tau), curve.normal(tau),
+                         curve.eval(t), curve.normal(t))
+        mlogs, fulls = _split_values(material, pf, tags)
         d = tau - t
-        out = full - _singular_parts(material, tag, d)
-        mlog = mlog_fn(pf)
-        out -= mlog * np.log(4.0 * np.sin(0.5 * d) ** 2)[..., None, None]
-        return out
+        logfac = np.log(4.0 * np.sin(0.5 * d) ** 2)[..., None, None]
+        out = [fulls[tag] - _singular_parts(material, tag, d) - mlogs[tag] * logfac
+               for tag in tags]
+        if with_w_log:
+            out.append(mlogs["W"])
+        return np.stack(out, axis=1)
 
-    return fn
+    limits = _diag_extrapolate(fn, grid, material)
+    smooth = {tag: limits[:, i] for i, tag in enumerate(tags)}
+    return smooth, ({"W": limits[:, -1]} if with_w_log else {})
 
 
 def _neville_even(values, h):
@@ -266,105 +314,64 @@ def _diag_extrapolate(fn, grid, material, steps: int = 7):
         vp = fn(t + h, t)
         vm = fn(t - h, t)
         vals.append(0.5 * (vp + vm))
-    vals = np.stack(vals, axis=-1)  # (2n, 2, 2, steps)
+    vals = np.stack(vals, axis=-1)  # (2n, ..., steps)
     return _neville_even(vals, hs)
 
 
-def kernel_split(material, grid, tag: str) -> KernelSplit:
-    """Compute the four-way singularity split of kernel `tag` on `grid`."""
-    if tag not in TAGS:
-        raise ValueError(f"unknown kernel tag {tag!r}; expected one of {TAGS}")
+def _kernel_splits(material, grid, tags) -> dict:
+    """Four-way splits of the kernels `tags` on `grid`, from one pair-field
+    build and one radial suite per basis on all node pairs.
+
+    Off the diagonal Kt(tau, t) = K(t, tau)^T exactly (r, G, U1 and U2 only
+    change sign under the swap), so when K is requested too, Kt's off-diagonal
+    blocks are K's block transpose; its diagonal is extrapolated on its own.
+    """
+    tags = tuple(tags)
+    for tag in tags:
+        if tag not in TAGS:
+            raise ValueError(f"unknown kernel tag {tag!r}; expected one of {TAGS}")
+    swept = tuple(tag for tag in tags if tag != "Kt" or "K" not in tags)
     N = grid.size
+    diag = np.arange(N)
     x, nu, t = grid.x, grid.nu, grid.t
+    d = t[:, None] - t[None, :]
+    smooth_diag, log_diag = _diagonal_limits(material, grid, tags)
+    splits = {}
+    # Values at r = 0 are not finite; the diagonal is replaced by its limits.
     with np.errstate(divide="ignore", invalid="ignore"):
         pf = _PairFields(
             material, x[:, None, :], nu[:, None, :], x[None, :, :], nu[None, :, :]
         )
-    off = ~np.eye(N, dtype=bool)
-
-    # --- log coefficient ---------------------------------------------------
-    M_log = np.zeros((N, N, 2, 2), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = _kernel_values(material, pf, tag, "log")
-    M_log[off] = 0.5 * vals[off]
-    if tag == "V":
-        # L Phi2 = O(r^2) and G stays bounded: only L Phi1(0) I survives.
-        lphi0 = radial_suite(material, np.zeros(1), basis="log").Phi1[0]
-        M_log[np.arange(N), np.arange(N)] = 0.5 * lphi0 * _I2
-    elif tag == "W":
-
-        def log_fn(tau, tt):
-            x_r, nu_r = grid.curve.eval(tau), grid.curve.normal(tau)
-            x_c, nu_c = grid.curve.eval(tt), grid.curve.normal(tt)
-            p = _PairFields(material, x_r, nu_r, x_c, nu_c)
-            return 0.5 * _kernel_values(material, p, tag, "log")
-
-        M_log[np.arange(N), np.arange(N)] = _diag_extrapolate(log_fn, grid, material)
-    # K, Kt: the log coefficient vanishes on the diagonal (already zero).
-
-    # --- smooth remainder ----------------------------------------------------
-    full = np.zeros((N, N, 2, 2), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        full_vals = _kernel_values(material, pf, tag, "hankel")
-    full[off] = full_vals[off]
-    d = t[:, None] - t[None, :]
-    M_smooth = np.zeros_like(full)
-    sing = np.zeros_like(full)
-    sing[off] = _singular_parts(material, tag, d)[off]
-    logfac = np.zeros((N, N))
-    logfac[off] = np.log(4.0 * np.sin(0.5 * d[off]) ** 2)
-    M_smooth[off] = (full - sing - M_log * logfac[..., None, None])[off]
-
-    def interp_mlog(p):
-        return 0.5 * _kernel_values(material, p, tag, "log")
-
-    rem = _remainder_fn(material, grid, tag, interp_mlog)
-    M_smooth[np.arange(N), np.arange(N)] = _diag_extrapolate(rem, grid, material)
-
-    return KernelSplit(
-        tag=tag,
-        c_hs=_c_hs(material, tag),
-        c_pv=_c_pv(material, tag),
-        M_log=M_log,
-        M_smooth=M_smooth,
-    )
+        mlogs, fulls = _split_values(material, pf, swept)
+        logfac = np.log(4.0 * np.sin(0.5 * d) ** 2)
+        logfac[diag, diag] = 0.0
+        for tag in swept:
+            M_log = mlogs[tag]
+            if tag == "V":
+                # L Phi2 = O(r^2) and G stays bounded: only L Phi1(0) I survives.
+                lphi0 = radial_suite(material, np.zeros(1), basis="log").Phi1[0]
+                M_log[diag, diag] = 0.5 * lphi0 * _I2
+            elif tag == "W":
+                M_log[diag, diag] = log_diag["W"].real  # the log basis is real
+            else:
+                # K, Kt: the log coefficient vanishes on the diagonal.
+                M_log[diag, diag] = 0.0
+            M_smooth = (fulls[tag] - _singular_parts(material, tag, d)
+                        - M_log * logfac[..., None, None])
+            splits[tag] = (M_log, M_smooth)
+    if "Kt" in tags and "Kt" not in swept:
+        splits["Kt"] = tuple(np.ascontiguousarray(m.transpose(1, 0, 3, 2))
+                             for m in splits["K"])
+    out = {}
+    for tag in tags:
+        M_log, M_smooth = splits[tag]
+        M_smooth[diag, diag] = smooth_diag[tag]
+        out[tag] = KernelSplit(tag=tag, c_hs=_c_hs(material, tag),
+                               c_pv=_c_pv(material, tag),
+                               M_log=M_log, M_smooth=M_smooth)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# literal small-argument coefficient functions (used as cross-checks in tests)
-# ---------------------------------------------------------------------------
-
-
-def a_log2(material, z):
-    """Log coefficient of I2 in the single-layer kernel, divided by r^2."""
-    kp, ks, w2 = material.kp, material.ks, material.omega**2
-    z = np.asarray(z, dtype=float)
-    return (
-        -(kp**2) * jv(1, kp * z) / (kp * z)
-        - ks**2 * jv(0, ks * z)
-        + ks**2 * jv(1, ks * z) / (ks * z)
-        + 0.5 * (ks**2 + kp**2)
-    ) / (2.0 * np.pi * z**2 * w2)
-
-
-def a_log3(material, z):
-    """Log coefficient of G in the single-layer kernel, divided by r^2."""
-    kp, ks, w2 = material.kp, material.ks, material.omega**2
-    z = np.asarray(z, dtype=float)
-    return (
-        -(kp**2) * jv(0, kp * z)
-        + 2.0 * kp**2 * jv(1, kp * z) / (kp * z)
-        + ks**2 * jv(0, ks * z)
-        - 2.0 * ks**2 * jv(1, ks * z) / (ks * z)
-    ) / (2.0 * np.pi * z**2 * w2)
-
-
-def b_log2(material, z):
-    """Log coefficient of U1^T in the double-layer kernel."""
-    kp, ks, w2 = material.kp, material.ks, material.omega**2
-    z = np.asarray(z, dtype=float)
-    return (
-        -(kp**4) * jv(2, kp * z) / (kp * z) ** 2
-        - ks**4 * jv(1, ks * z) / (ks * z)
-        + ks**4 * jv(2, ks * z) / (ks * z) ** 2
-    ) / (2.0 * np.pi * w2)
+def kernel_split(material, grid, tag: str) -> KernelSplit:
+    """Compute the four-way singularity split of kernel `tag` on `grid`."""
+    return _kernel_splits(material, grid, (tag,))[tag]

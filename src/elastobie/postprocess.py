@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import _PairFields, _kernel_values
+from .special import radial_suite
 
 __all__ = ["FarField", "eval_potential", "far_field", "eps_inf",
            "default_directions"]
@@ -55,7 +56,7 @@ def _term_kernel(term, points):
     pf = _PairFields(term.material, x_r, nu_dummy, grid.x[None, :, :],
                      grid.nu[None, :, :])
     tag = "V" if term.layer == "SL" else "K"
-    return _kernel_values(term.material, pf, tag, basis="hankel")
+    return _kernel_values(pf, radial_suite(term.material, pf.r), (tag,))[tag]
 
 
 def eval_potential(representation, points, region: str = "exterior") -> np.ndarray:

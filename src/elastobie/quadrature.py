@@ -14,6 +14,9 @@ spectrally accurate) on trigonometric polynomials:
   interpolated spectrally to the shifted nodes t_{m+1/2}, where the cot
   kernel is regular, so that (pv phi)_i ~ p.v. (1/2pi) Int cot((t-t_i)/2)
   phi(t) dt with mode action e^{ikt} -> i sign(k) e^{ik t_i}.
+
+The singular weights depend on t_i - t_m only, so R, T and pv are circulant
+matrices built from one column each.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ class QuadratureSet:
     n: int
     R: np.ndarray = field(repr=False)  # Kusmaul-Martensen log weights
     T: np.ndarray = field(repr=False)  # Kress finite-part weights
-    shift: np.ndarray = field(repr=False)  # interpolation to t_{m+1/2}
     pv: np.ndarray = field(repr=False)  # shifted-grid Cauchy p.v. rule
     trapezoid: float = 0.0
 
@@ -64,22 +66,43 @@ def shifted_interpolation_matrix(n: int) -> np.ndarray:
 
 
 def build_quadrature(n: int) -> QuadratureSet:
-    """Materialize all weight families for the 2n-point periodic grid."""
+    """Materialize all weight families for the 2n-point periodic grid.
+
+    R, T and pv depend on t_i - t_m only, so each is a circulant,
+    W[i, m] = col[(i - m) mod 2n].  With d_k = k pi / n the columns are
+
+        R:  col[k] = -(1/n) sum_{j<n} cos(j d_k)/j - (1/2n^2) cos(n d_k)
+        T:  col[k] = -(1/n) sum_{j<n} j cos(j d_k) - (1/2) cos(n d_k)
+        pv: col[k] = -(1/n) sum_{j<n} sin(j d_k)
+
+    (pv is the shifted-grid rule summed in closed form; the Nyquist mode
+    vanishes at the shifted nodes).  The columns are computed for
+    k = 0..n and mirrored, so R and T are exactly symmetric and pv exactly
+    antisymmetric, at O(n^2) cost.
+    """
     if n < 4:
         raise ValueError("n must be at least 4")
-    t = np.arange(2 * n) * np.pi / n
-    d = t[:, None] - t[None, :]
+    k = np.arange(n + 1)
     j = np.arange(1, n)
-    # R[i,m] = -(1/n) sum_j cos(j d)/j - (1/2n^2) cos(n d)
-    cosjd = np.cos(j[None, None, :] * d[:, :, None])
-    R = -(cosjd / j).sum(axis=-1) / n - np.cos(n * d) / (2.0 * n**2)
-    # T[i,m] = -(1/n) sum_j j cos(j d) - (1/2) cos(n d)
-    T = -(cosjd * j).sum(axis=-1) / n - 0.5 * np.cos(n * d)
-    S = shifted_interpolation_matrix(n)
-    t_shift = t + np.pi / (2 * n)
-    cot = 1.0 / np.tan(0.5 * (t_shift[None, :] - t[:, None]))
-    pv = (cot / (2 * n)) @ S
-    return QuadratureSet(n=n, R=R, T=T, shift=S, pv=pv, trapezoid=np.pi / n)
+    jd = (np.outer(k, j) % (2 * n)) * (np.pi / n)  # j d_k reduced to [0, 2 pi)
+    cos_jd = np.cos(jd)
+    cos_nd = (-1.0) ** k
+    R = _circulant(-(cos_jd / j).sum(axis=-1) / n - cos_nd / (2.0 * n**2))
+    T = _circulant(-(cos_jd * j).sum(axis=-1) / n - 0.5 * cos_nd)
+    pv = _circulant(-np.sin(jd).sum(axis=-1) / n, odd=True)
+    return QuadratureSet(n=n, R=R, T=T, pv=pv, trapezoid=np.pi / n)
+
+
+def _circulant(half: np.ndarray, odd: bool = False) -> np.ndarray:
+    """Circulant matrix W[i, m] = col[(i - m) mod 2n] from col[0..n], extended
+    as an even (col[2n-k] = col[k]) or odd (col[2n-k] = -col[k]) sequence."""
+    n = half.size - 1
+    tail = half[n - 1:0:-1]
+    col = np.concatenate([half, -tail if odd else tail])
+    if odd:
+        col[0] = col[n] = 0.0
+    offset = np.arange(2 * n)
+    return col[(offset[:, None] - offset[None, :]) % (2 * n)]
 
 
 @dataclass(frozen=True)

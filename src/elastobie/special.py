@@ -15,6 +15,9 @@ function.  Two choices of c_j are used:
   log-coefficient commutes with differentiation in r, the same linear
   combinations evaluated in this basis produce the log-coefficients of the
   kernels analytically.
+
+Only the orders j = 0, 1 occur, so both bases come from SciPy's Cephes
+routines j0, j1, y0 and y1: H^(1)_j = J_j + i Y_j for real arguments.
 """
 
 from __future__ import annotations
@@ -22,83 +25,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import hankel1, jv, yv, psi as digamma
+from scipy.special import (j0 as bessel_j0, j1 as bessel_j1,
+                           y0 as bessel_y0, y1 as bessel_y1)
 
-__all__ = ["bessel", "phi", "C_smooth", "radial_suite", "RadialSuite"]
+__all__ = ["radial_suite", "RadialSuite"]
 
 _LOG_SCALE = -1.0 / (2.0 * np.pi)
-
-
-def bessel(r: int, z):
-    """Bessel functions (J_r(z), Y_r(z)) for order r in 0..3."""
-    if r not in (0, 1, 2, 3):
-        raise ValueError("order must be in 0..3")
-    z = np.asarray(z, dtype=float)
-    if np.any(z <= 0.0):
-        raise ValueError("Y_r requires z > 0")
-    return jv(r, z), yv(r, z)
-
-
-def phi(r: int, z):
-    """phi_r(z) = (i/4) H^(1)_r(z), the outgoing radial Helmholtz kernels."""
-    if r not in (0, 1, 2, 3):
-        raise ValueError("order must be in 0..3")
-    return 0.25j * hankel1(r, np.asarray(z, dtype=float))
-
-
-def _singular_terms(r: int, k: float, z: np.ndarray) -> np.ndarray:
-    """Explicit singular (negative-power and analytic-odd) terms S_r with
-
-    phi_r(k z) = -(1/2 pi) J_r(k z) log z + z^r C_{r,k}(z) + S_r(z).
-    """
-    w = k * z
-    if r == 0:
-        return np.zeros_like(z)
-    if r == 1:
-        return 1.0 / (2.0 * np.pi * w)
-    if r == 2:
-        return 1.0 / (np.pi * w**2) + 1.0 / (4.0 * np.pi) + 0.0 * z
-    # r == 3
-    return 4.0 / (np.pi * w**3) + 1.0 / (2.0 * np.pi * w) + w / (16.0 * np.pi)
-
-
-def C_smooth(r: int, k: float, z):
-    """Smooth remainder C_{r,k}(z) of the log-splitting of phi_r(k z).
-
-    Defined by phi_r(kz) = -(1/2pi) J_r(kz) log z + z^r C_{r,k}(z) + S_r(z)
-    with S_r the explicit singular terms of phi_r.  Continuous at z = 0;
-    evaluated by an ascending series for kz <= 1/2 and by direct subtraction
-    otherwise.
-    """
-    if r not in (0, 1, 2, 3):
-        raise ValueError("order must be in 0..3")
-    z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape, dtype=complex)
-    w = k * z
-    small = w <= 0.5
-    if np.any(small):
-        ws = w[small]
-        half = 0.5 * ws
-        pref = (0.25j + _LOG_SCALE * np.log(0.5 * k)) * (0.5 * k) ** r
-        # J_r(w) / (w/2)^r as its own ascending series (finite at w = 0).
-        jr_scaled = np.zeros_like(ws, dtype=complex)
-        series = np.zeros_like(ws, dtype=complex)
-        for m in range(12):
-            term = (-1.0) ** m * half ** (2 * m) / (
-                math.factorial(m) * math.factorial(r + m)
-            )
-            jr_scaled += term
-            series += (digamma(m + 1.0) + digamma(r + m + 1.0)) * term
-        out[small] = pref * jr_scaled + (0.5 * k) ** r * series / (4.0 * np.pi)
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        out[big] = (
-            phi(r, k * zb)
-            + (1.0 / (2.0 * np.pi)) * jv(r, k * zb) * np.log(zb)
-            - _singular_terms(r, k, zb)
-        ) / zb**r
-    return out
 
 
 class RadialSuite:
@@ -115,6 +47,14 @@ class RadialSuite:
         self.d2Phi2 = d2Phi2
 
 
+def _quarter_i_hankel(j, y):
+    """(i/4) H^(1) = (i/4) (J + i Y) from real J and Y."""
+    out = np.empty(np.shape(j), dtype=complex)
+    out.real = -0.25 * y
+    out.imag = 0.25 * j
+    return out
+
+
 def _family(k: float, r: np.ndarray, basis: str, second: bool):
     """F0 = c0(kr), F1 = c1(kr)/(kr) and derivatives for one wavenumber.
 
@@ -123,14 +63,14 @@ def _family(k: float, r: np.ndarray, basis: str, second: bool):
     """
     w = k * r
     if basis == "hankel":
-        c0 = 0.25j * hankel1(0, w)
-        c1 = 0.25j * hankel1(1, w)
+        c0 = _quarter_i_hankel(bessel_j0(w), bessel_y0(w))
+        c1 = _quarter_i_hankel(bessel_j1(w), bessel_y1(w))
         c1_over_w = c1 / w
         h2 = -3.0 * c0 / w**2 + 6.0 * c1 / w**3
     elif basis == "log":
         small = w <= 0.5
-        j0 = jv(0, w)
-        j1 = jv(1, w)
+        j0 = bessel_j0(w)
+        j1 = bessel_j1(w)
         with np.errstate(divide="ignore", invalid="ignore"):
             j1_over_w = np.where(small, 0.0, j1 / np.where(small, 1.0, w))
             h2j = np.where(

@@ -222,13 +222,22 @@ def test_criterion_06_rho_lower_bound():
     assert 0 < below_one < 1000
 
 
-def test_criterion_06_rho_equality_iff_equal_shear_moduli():
+def test_criterion_06_rho_is_one_at_both_roots():
+    # rho - 1 = P (s - 1)(s - Q/P)/(4 s) with s = mu-/mu+ (see
+    # test_criterion_06_rho_lower_bound): rho = 1 at equal shear moduli and
+    # again at s = Q/P, reached by scaling lam- and mu- together (t- fixed).
     rng = np.random.default_rng(7)
     for _ in range(200):
         lp, lm, mu = rng.uniform(0.2, 5.0, 3)
-        rho = rho_constant(make_material(lam=lp, mu=mu, omega=1.0),
-                           make_material(lam=lm, mu=mu, omega=1.0))
+        mp = make_material(lam=lp, mu=mu, omega=1.0)
+        rho = rho_constant(mp, make_material(lam=lm, mu=mu, omega=1.0))
         assert abs(rho - 1.0) <= 1e-14
+
+        tp, tm = mu / (lp + 2.0 * mu), mu / (lm + 2.0 * mu)
+        scale = (1.0 + tm) * (1.0 - tp) / ((1.0 + tp) * (1.0 - tm))  # Q/P
+        rho = rho_constant(mp, make_material(lam=lm * scale, mu=mu * scale,
+                                             omega=1.0))
+        assert abs(rho - 1.0) <= 1e-14, ((lp, lm, mu), rho)
 
 
 def test_criterion_06_rho_bound_in_provable_regime():

@@ -3,9 +3,13 @@ reciprocity between the double layer and its adjoint, split structure."""
 
 import numpy as np
 import pytest
+from scipy.special import hankel1
 
 from elastobie import fundamental_solution, kernel_split
+from elastobie.formulations import boundary_operators
 from elastobie.kernels import TAGS, _c_hs, _c_pv, _singular_parts
+from elastobie.quadrature import matrix_to_blocks
+from elastobie.special import _family
 
 
 def _reassemble(split, grid):
@@ -54,6 +58,26 @@ def test_double_layer_reciprocity(starfish32, mat21):
     fkt, _ = _reassemble(kt, starfish32)
     swapped = np.swapaxes(np.swapaxes(fk, 0, 1), -1, -2)
     assert np.abs(fkt[off] - swapped[off]).max() < 1e-11
+
+
+def test_hankel_family_matches_amos_hankel():
+    # The Cephes J + i Y evaluation against scipy's AMOS hankel1.
+    for k in (0.5, 3.0, 40.0):
+        w = np.geomspace(1e-6, 400.0, 4001)
+        f = _family(k, w / k, "hankel", False)
+        h0, h1 = 0.25j * hankel1(0, w), 0.25j * hankel1(1, w)
+        assert (np.abs(f["F0"] - h0) / np.abs(h0)).max() <= 1e-13
+        assert (np.abs(f["F1"] * w - h1) / np.abs(h1)).max() <= 1e-13
+
+
+def test_adjoint_double_layer_is_exact_block_transpose(starfish32, mat28):
+    ops = boundary_operators(mat28, starfish32)
+    K, Kt = matrix_to_blocks(ops["K"]), matrix_to_blocks(ops["Kt"])
+    off = ~np.eye(starfish32.size, dtype=bool)
+    assert np.array_equal(Kt[off], K.transpose(1, 0, 3, 2)[off])
+    # the diagonal is extrapolated for each operator on its own
+    alone = matrix_to_blocks(boundary_operators(mat28, starfish32, tags=("Kt",))["Kt"])
+    assert np.abs(alone - Kt).max() <= 1e-12 * np.abs(Kt).max()
 
 
 def test_singularity_constants(mat21):

@@ -97,3 +97,25 @@ def test_blocks_matrix_round_trip(m):
 def test_build_quadrature_rejects_tiny_n():
     with pytest.raises(ValueError):
         build_quadrature(3)
+
+
+@pytest.mark.parametrize("n", [4, 16, 33])
+def test_weights_are_circulants_of_the_cosine_sums(n):
+    # Reference: the O(N^2 n) double sums over d = t_i - t_m, and the
+    # shifted-grid p.v. rule built from the interpolation matrix.
+    q = build_quadrature(n)
+    N = 2 * n
+    t = np.arange(N) * np.pi / n
+    d = t[:, None] - t[None, :]
+    j = np.arange(1, n)
+    cosjd = np.cos(j[None, None, :] * d[:, :, None])
+    R = -(cosjd / j).sum(axis=-1) / n - np.cos(n * d) / (2.0 * n**2)
+    T = -(cosjd * j).sum(axis=-1) / n - 0.5 * np.cos(n * d)
+    cot = 1.0 / np.tan(0.5 * (t[None, :] + np.pi / (2 * n) - t[:, None]))
+    pv = (cot / N) @ shifted_interpolation_matrix(n)
+    offset = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    for got, ref in ((q.R, R), (q.T, T), (q.pv, pv)):
+        assert np.array_equal(got, got[:, 0][offset])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(q.R, q.R.T) and np.array_equal(q.T, q.T.T)
+    assert np.array_equal(q.pv, -q.pv.T)
