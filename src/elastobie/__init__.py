@@ -18,7 +18,7 @@ from .materials import (
     trace_and_traction,
 )
 from .kernels import fundamental_solution, kernel_split, KernelSplit
-from .quadrature import QuadratureSet, build_quadrature, assemble_bio, DenseOperator
+from .quadrature import QuadratureSet, build_quadrature, assemble_bio
 from .multipliers import (
     Symbol,
     make_symbol,
@@ -29,6 +29,7 @@ from .multipliers import (
 )
 from .solvers import gmres, lu_solve, SolveReport
 from .formulations import (
+    DenseOperator,
     LinearSystem,
     PotentialRepresentation,
     assemble_dirichlet,

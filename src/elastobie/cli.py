@@ -123,9 +123,9 @@ def _selftest_checks():
         return abs(reg.rho - 3604.0 / 1728.0) < 1e-12
 
     def rho_bound():
-        # rho >= 1 holds when the shear-modulus contrast is >= 3 (it can
-        # drop below 1 for mu-ratios inside (1/3, 3) with large lambda
-        # contrast); equality holds exactly when mu+ = mu-.
+        # rho < 1 only for mu-/mu+ strictly between 1 and Q/P, which lies in
+        # [1/3, 3] for lam >= 0, so rho >= 1 at shear-modulus contrast >= 3;
+        # rho = 1 at mu+ = mu- and also at mu-/mu+ = Q/P (see rho_constant).
         for _ in range(200):
             lp, mu_p, lm = rng.uniform(0.2, 5.0, 3)
             mu_m = mu_p * rng.choice([rng.uniform(3.0, 20.0),
@@ -159,7 +159,7 @@ def _selftest_checks():
         ("material symbol identity alpha^2+beta*delta+1/4=0", material_identity),
         ("bold-H squared = -I per mode", h_squared),
         ("(C+ + C-) R = 1/2 I + C- and rho = 3604/1728", regularizer_identity),
-        ("rho >= 1 for mu-contrast >= 3, equality iff mu+ = mu-", rho_bound),
+        ("rho >= 1 for mu-contrast >= 3, rho = 1 at mu+ = mu-", rho_bound),
         ("discrete Calderon projector 4C^2 = I", calderon_projector),
         ("GMRES reference solve", gmres_sanity),
     ]

@@ -45,12 +45,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .formulations import (LinearSystem, PotentialRepresentation,
-                           PotentialTerm, boundary_operators)
-from .materials import Material, trace_and_traction
+from .formulations import (DenseOperator, LinearSystem,
+                           PotentialRepresentation, PotentialTerm,
+                           _incident_cauchy_data, boundary_operators)
+from .materials import Material
 from .multipliers import (Symbol, identity_symbol, make_symbol, ps_dtn,
                           symbol_matrix, transmission_operators)
-from .quadrature import DenseOperator, flatten_density, unflatten_density
+from .quadrature import flatten_density, unflatten_density
 
 __all__ = [
     "RtRMap",
@@ -71,10 +72,9 @@ class RtRMap:
     (flattened trace; flattened traction) of the subdomain solution.
     """
 
-    side: str  # "interior" or "exterior"
     matrix: np.ndarray = field(repr=False)    # (L, L), L = 2 * grid.size
     data_map: np.ndarray = field(repr=False)  # (2L, L)
-    meta: dict = field(default_factory=dict, repr=False)
+    meta: dict = field(default_factory=dict, repr=False)  # "bplus" if single
 
 
 def _robin_matrices(mat_plus: Material, mat_minus: Material, grid,
@@ -98,8 +98,7 @@ def rtr_interior(mat_minus: Material, grid, ups_plus_mat: np.ndarray,
     rhs[L:] = -I
     X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
     S = ups_plus_mat @ X[:L] + X[L:]
-    return RtRMap(side="interior", matrix=S, data_map=X,
-                  meta={"material": mat_minus})
+    return RtRMap(matrix=S, data_map=X)
 
 
 def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
@@ -127,9 +126,7 @@ def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
             rhs[:L] = eps * vt
         X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
         S = ups_minus_mat @ X[:L] + X[L:]
-        return RtRMap(side="exterior", matrix=S, data_map=X,
-                      meta={"material": mat_plus, "variant": variant,
-                            "eps": eps if variant == "eps" else None})
+        return RtRMap(matrix=S, data_map=X)
     if variant == "single":
         ops = boundary_operators(mat_plus, grid)
         ps_p = ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=grid.n)
@@ -142,9 +139,7 @@ def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
         X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), I)
         data_map = np.vstack([trace_map @ X, traction_map @ X])
         S = traction_map @ X + ups_minus_mat @ (trace_map @ X)
-        return RtRMap(side="exterior", matrix=S, data_map=data_map,
-                      meta={"material": mat_plus, "variant": variant,
-                            "bplus": DenseOperator(B, tag="B+")})
+        return RtRMap(matrix=S, data_map=data_map, meta={"bplus": B})
     raise ValueError(f"unknown exterior RtR variant {variant!r}")
 
 
@@ -159,13 +154,8 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     convention).
     """
     kappa = complex(kappa) if kappa is not None else mat_minus.kappa
-    if cauchy_data is not None:
-        inc_trace, inc_traction = cauchy_data
-    elif incident is not None:
-        cd = trace_and_traction(incident, grid, mat_plus)
-        inc_trace, inc_traction = cd.trace, cd.traction
-    else:
-        raise ValueError("either incident field or Cauchy data required")
+    inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident,
+                                                    cauchy_data)
     Up, Um = _robin_matrices(mat_plus, mat_minus, grid, kappa)
     S_minus = rtr_interior(mat_minus, grid, Up, Um)
     S_plus = rtr_exterior(mat_plus, mat_minus, grid, kappa, Up, Um,
@@ -173,14 +163,13 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     L = 2 * grid.size
     I = np.eye(L, dtype=complex)
     M = np.block([[I, -S_minus.matrix], [-S_plus.matrix, I]])
-    b_tr = flatten_density(np.asarray(inc_trace, dtype=complex))
-    b_tn = flatten_density(np.asarray(inc_traction, dtype=complex))
+    b_tr = flatten_density(inc_trace)
+    b_tn = flatten_density(inc_traction)
     rhs = np.concatenate([-(b_tn + Up @ b_tr), b_tn + Um @ b_tr])
     meta = {"mat_plus": mat_plus, "mat_minus": mat_minus, "kappa": kappa,
             "variant": variant, "S_plus": S_plus, "S_minus": S_minus,
-            "inc_trace": np.asarray(inc_trace, dtype=complex),
-            "inc_traction": np.asarray(inc_traction, dtype=complex)}
-    return LinearSystem(operator=DenseOperator(M, tag="transmission-DDM"),
+            "inc_trace": inc_trace, "inc_traction": inc_traction}
+    return LinearSystem(operator=DenseOperator(M),
                         rhs=rhs, tag="transmission-DDM", grid=grid, meta=meta)
 
 

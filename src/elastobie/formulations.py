@@ -34,12 +34,13 @@ import numpy as np
 
 from .kernels import _kernel_splits
 from .materials import Material, trace_and_traction
-from .multipliers import (Symbol, make_transmission_regularizer, ps_dtn,
+from .multipliers import (make_transmission_regularizer, ps_dtn,
                           symbol_matrix, symbol_transpose, apply_multiplier)
-from .quadrature import (DenseOperator, assemble_bio, build_quadrature,
-                         flatten_density, unflatten_density)
+from .quadrature import (assemble_bio, build_quadrature, flatten_density,
+                         unflatten_density)
 
 __all__ = [
+    "DenseOperator",
     "LinearSystem",
     "PotentialRepresentation",
     "PotentialTerm",
@@ -54,6 +55,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class DenseOperator:
+    """Dense system matrix acting on interleaved 2-component densities."""
+
+    matrix: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True)
 class LinearSystem:
     """Dense system A x = b plus everything needed to interpret x."""
 
@@ -64,7 +72,7 @@ class LinearSystem:
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.operator.shape[0] != self.rhs.shape[0]:
+        if self.operator.matrix.shape[0] != self.rhs.shape[0]:
             raise ValueError("operator and rhs dimensions disagree")
 
 
@@ -90,12 +98,12 @@ def boundary_operators(material: Material, grid, tags=("V", "K", "Kt", "W")) -> 
     """Assemble the requested dense boundary integral operators."""
     quad = build_quadrature(grid.n)
     splits = _kernel_splits(material, grid, tags)
-    return {tag: assemble_bio(splits[tag], quad, grid).matrix for tag in tags}
+    return {tag: assemble_bio(splits[tag], quad, grid) for tag in tags}
 
 
-def calderon_matrix(material: Material, grid, ops: dict | None = None) -> np.ndarray:
+def calderon_matrix(material: Material, grid) -> np.ndarray:
     """Dense 8n x 8n Calderon block operator C = [[K, -V], [W, -K^T]]."""
-    ops = ops or boundary_operators(material, grid)
+    ops = boundary_operators(material, grid)
     return np.block([[ops["K"], -ops["V"]], [ops["W"], -ops["Kt"]]])
 
 
@@ -137,7 +145,7 @@ def assemble_dirichlet(kind: str, material: Material, grid,
         meta = {"kappa": kappa, "regularizer": reg, "material": material}
     else:
         raise ValueError(f"unknown Dirichlet formulation {kind!r}")
-    return LinearSystem(operator=DenseOperator(A, tag=f"dirichlet-{kind}"),
+    return LinearSystem(operator=DenseOperator(A),
                         rhs=rhs, tag=f"dirichlet-{kind}", grid=grid, meta=meta)
 
 
@@ -187,7 +195,7 @@ def assemble_neumann(kind: str, material: Material, grid,
         meta = {"kappa": kappa, "regularizer": regN, "material": material}
     else:
         raise ValueError(f"unknown Neumann formulation {kind!r}")
-    return LinearSystem(operator=DenseOperator(A, tag=f"neumann-{kind}"),
+    return LinearSystem(operator=DenseOperator(A),
                         rhs=rhs, tag=f"neumann-{kind}", grid=grid, meta=meta)
 
 
@@ -202,6 +210,19 @@ def _regularizer_matrices(reg, n: int):
     return R, Rt
 
 
+def _incident_cauchy_data(mat_plus: Material, grid, incident, cauchy_data):
+    """Incident trace and EXTERIOR traction on the grid, as complex arrays."""
+    if cauchy_data is not None:
+        inc_trace, inc_traction = cauchy_data
+    elif incident is not None:
+        cd = trace_and_traction(incident, grid, mat_plus)
+        inc_trace, inc_traction = cd.trace, cd.traction
+    else:
+        raise ValueError("either incident field or Cauchy data required")
+    return (np.asarray(inc_trace, dtype=complex),
+            np.asarray(inc_traction, dtype=complex))
+
+
 def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
                           grid, kappa=None, incident=None,
                           cauchy_data=None) -> LinearSystem:
@@ -212,21 +233,15 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
     RHS Cauchy data of the incident field use the EXTERIOR traction T+.
     """
     N = grid.size
+    inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident,
+                                                    cauchy_data)
     Cp = calderon_matrix(mat_plus, grid)
     Cm = calderon_matrix(mat_minus, grid)
-    if cauchy_data is not None:
-        inc_trace, inc_traction = cauchy_data
-    elif incident is not None:
-        cd = trace_and_traction(incident, grid, mat_plus)
-        inc_trace, inc_traction = cd.trace, cd.traction
-    else:
-        raise ValueError("either incident field or Cauchy data required")
-    b0 = np.concatenate([flatten_density(np.asarray(inc_trace, dtype=complex)),
-                         flatten_density(np.asarray(inc_traction, dtype=complex))])
+    b0 = np.concatenate([flatten_density(inc_trace),
+                         flatten_density(inc_traction)])
     I8 = _eye(4 * N)
     meta = {"mat_plus": mat_plus, "mat_minus": mat_minus,
-            "inc_trace": np.asarray(inc_trace, dtype=complex),
-            "inc_traction": np.asarray(inc_traction, dtype=complex)}
+            "inc_trace": inc_trace, "inc_traction": inc_traction}
     if kind == "SC":
         A = -(Cp + Cm)
         rhs = b0
@@ -255,13 +270,8 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
             rhs = -b0
     else:
         raise ValueError(f"unknown transmission formulation {kind!r}")
-    return LinearSystem(operator=DenseOperator(A, tag=f"transmission-{kind}"),
+    return LinearSystem(operator=DenseOperator(A),
                         rhs=rhs, tag=f"transmission-{kind}", grid=grid, meta=meta)
-
-
-def _split_block(x: np.ndarray):
-    half = x.size // 2
-    return unflatten_density(x[:half]), unflatten_density(x[half:])
 
 
 def reconstruct_fields(system: LinearSystem, solution: np.ndarray) -> PotentialRepresentation:
@@ -295,7 +305,7 @@ def reconstruct_fields(system: LinearSystem, solution: np.ndarray) -> PotentialR
 
     if tag.startswith("transmission-"):
         mp, mm = meta["mat_plus"], meta["mat_minus"]
-        g, eta = _split_block(x)
+        g, eta = (unflatten_density(h) for h in np.split(x, 2))
         if tag in ("transmission-SC", "transmission-KR", "transmission-DCFIER"):
             # direct unknowns: interior Cauchy data (gamma u-, T- u-)
             gp = g - meta["inc_trace"]
@@ -323,7 +333,7 @@ def reconstruct_fields(system: LinearSystem, solution: np.ndarray) -> PotentialR
 
 
 def discrete_dtn_exterior(material: Material, grid,
-                          cond_limit: float = 1e12) -> DenseOperator:
+                          cond_limit: float = 1e12) -> np.ndarray:
     """Discrete exterior Dirichlet-to-Neumann map Y+.
 
     Primary formula Y+ = -V^{-1}(1/2 I - K); falls back to
@@ -339,4 +349,4 @@ def discrete_dtn_exterior(material: Material, grid,
         if np.linalg.cond(A) >= cond_limit:
             raise ValueError("both DtN formulas ill-conditioned at this omega")
         Y = np.linalg.solve(A, ops["W"])
-    return DenseOperator(Y, tag="Y+")
+    return Y

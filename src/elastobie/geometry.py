@@ -77,11 +77,8 @@ class CurveGrid:
     t: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
     dx: np.ndarray = field(repr=False)
-    d2x: np.ndarray = field(repr=False)
-    d3x: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
     speed: np.ndarray = field(repr=False)
-    t_shift: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -142,8 +139,6 @@ def sample_grid(curve: Curve, n: int) -> CurveGrid:
     t = np.arange(2 * n) * np.pi / n
     x = curve.eval(t, 0)
     dx = curve.eval(t, 1)
-    d2x = curve.eval(t, 2)
-    d3x = curve.eval(t, 3)
     nu = np.stack([dx[:, 1], -dx[:, 0]], axis=-1)
     speed = np.linalg.norm(dx, axis=1)
     return CurveGrid(
@@ -152,9 +147,6 @@ def sample_grid(curve: Curve, n: int) -> CurveGrid:
         t=t,
         x=x,
         dx=dx,
-        d2x=d2x,
-        d3x=d3x,
         nu=nu,
         speed=speed,
-        t_shift=t + np.pi / (2 * n),
     )

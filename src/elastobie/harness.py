@@ -45,7 +45,8 @@ from .formulations import (assemble_dirichlet, assemble_neumann,
                            PotentialRepresentation, PotentialTerm)
 from .geometry import make_curve, sample_grid
 from .materials import make_material, plane_wave, point_source, trace_and_traction
-from .postprocess import FarField, default_directions, eps_inf, far_field
+from .postprocess import (FarField, _gammas, default_directions, eps_inf,
+                          far_field)
 from .quadrature import flatten_density, unflatten_density
 from .solvers import gmres, lu_solve
 
@@ -97,30 +98,32 @@ def _make_incident(spec: dict, material):
     raise ValueError(f"unknown incidence type {kind!r}")
 
 
+# The layer potential each manufactured column (V, K or W) represents.
+_MANUFACTURED_LAYERS = {"V": "SL", "K": "DL", "W": "DL"}
+
+
+def _check_manufactured(config: dict) -> None:
+    """Reject a manufactured config that no cell can run, before any work."""
+    kind = config["incidence"].get("type", "P")
+    if kind != "point_source":
+        raise ValueError("manufactured problems need incidence.type "
+                         f"'point_source', not {kind!r}")
+    for form in config["formulations"]:
+        if form["name"] not in _MANUFACTURED_LAYERS:
+            raise ValueError(f"unknown manufactured formulation {form['name']!r}")
+
+
 def _manufactured_cell(form, material, grid, source, reference: FarField):
     """Solve one manufactured-solution column (V, K or W) by direct LU."""
     cd = trace_and_traction(source, grid, material)
-    ops = boundary_operators(material, grid,
-                             tags=("V",) if form == "V" else
-                             ("K",) if form == "K" else ("W",))
-    N = grid.size
-    if form == "V":
-        A = ops["V"]
-        rhs = flatten_density(cd.trace)
-        layer = "SL"
-    elif form == "K":
-        A = 0.5 * np.eye(2 * N, dtype=complex) + ops["K"]
-        rhs = flatten_density(cd.trace)
-        layer = "DL"
-    elif form == "W":
-        A = ops["W"]
-        rhs = flatten_density(cd.traction)
-        layer = "DL"
-    else:
-        raise ValueError(f"unknown manufactured formulation {form!r}")
+    A = boundary_operators(material, grid, tags=(form,))[form]
+    if form == "K":
+        A = 0.5 * np.eye(2 * grid.size, dtype=complex) + A
+    rhs = flatten_density(cd.traction if form == "W" else cd.trace)
     density = unflatten_density(lu_solve(A, rhs).x)
     rep = PotentialRepresentation(
-        terms=(PotentialTerm(layer, material, grid, density),))
+        terms=(PotentialTerm(_MANUFACTURED_LAYERS[form], material, grid,
+                             density),))
     ff = far_field(rep, directions=reference.directions)
     return 0, eps_inf(ff, reference)
 
@@ -189,10 +192,7 @@ def _run_cell(config, case, form_spec):
 
 def _point_source_far_field(material, x0, q, angles, dirs) -> FarField:
     """Analytic far field of the elastodynamic point source Phi(., x0) q."""
-    gp = 0.25j * np.sqrt(2.0 / (np.pi * material.kp)) * np.exp(-0.25j * np.pi) \
-        / (material.lam + 2.0 * material.mu)
-    gs = 0.25j * np.sqrt(2.0 / (np.pi * material.ks)) * np.exp(-0.25j * np.pi) \
-        / material.mu
+    gp, gs = _gammas(material)
     phase_p = np.exp(-1j * material.kp * (dirs @ x0))
     phase_s = np.exp(-1j * material.ks * (dirs @ x0))
     xq = dirs @ q
@@ -217,6 +217,8 @@ def run_experiment(config: dict, threads: int | None = None) -> list[ReportRow]:
     else the ELASTOBIE_THREADS environment variable, else serial); the
     report is assembled in deterministic order regardless of scheduling.
     """
+    if config.get("problem") == "manufactured":
+        _check_manufactured(config)
     cells = [(case, form) for case in config.get("cases", [])
              for form in config["formulations"]]
     if not cells:

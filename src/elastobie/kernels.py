@@ -6,7 +6,7 @@ UNNORMALIZED normals nu = (x2', -x1'):
 
     V (tau,t)  = Phi(x(tau), x(t))                      single layer
     K (tau,t)  = [T_t Phi(x(tau), x(t))]^T              double layer
-    Kt(tau,t)  =  T_tau Phi(x(tau), x(t))               adjoint double layer
+    Kt(tau,t)  =  T_tau Phi(x(tau), x(t)) = K(t,tau)^T  adjoint double layer
     W (tau,t)  =  T_tau [T_t Phi(x(tau), x(t))]^T       hypersingular
 
 Every kernel is split as
@@ -23,8 +23,8 @@ kernel formula into the formula for its log r coefficient, and the factor 1/2
 converts log r into log(4 sin^2((tau-t)/2)).  M_smooth follows by subtraction
 off the diagonal; diagonal values of M_smooth (and of M_log for W) are
 obtained by even-part Richardson extrapolation along the parameterization.
-All kernels requested for one material and grid share one pair-field build
-and one radial suite per basis.
+V, K and W share one pair-field build and one radial suite per basis.  Kt is
+never evaluated: its split is K's block transpose, diagonal included.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .quadrature import _I2, _J
 from .special import radial_suite
 
 __all__ = ["KernelSplit", "fundamental_solution", "kernel_split", "TAGS"]
 
 TAGS = ("V", "K", "Kt", "W")
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])
-_I2 = np.eye(2)
 
 
 def fundamental_solution(material, x, y):
@@ -72,8 +71,8 @@ def _dot(a, b):
 class _PairFields:
     """Geometric fields for batches of (row, column) point/normal pairs.
 
-    The traction fields TA, TB and TC enter the hypersingular kernel only and
-    are built on first use.
+    The row-normal field U1r and the traction fields TA, TB and TC enter the
+    hypersingular kernel only and are built on first use.
     """
 
     def __init__(self, material, x_r, nu_r, x_c, nu_c):
@@ -85,8 +84,10 @@ class _PairFields:
         self.G = _outer(self.rvec, self.rvec) / r2
         self.U1c = self._u1(lam, mu, nu_c, self.rvec)
         self.U2c = self._u2(lam, mu, nu_c, self.rvec, self.G)
-        self.U1r = self._u1(lam, mu, nu_r, self.rvec)
-        self.U2r = self._u2(lam, mu, nu_r, self.rvec, self.G)
+
+    @cached_property
+    def U1r(self):
+        return self._u1(self.lam, self.mu, self.nu_r, self.rvec)
 
     # Traction (at the row point, normal nu_r =: m) of the matrix fields
     # A = U1^T(nu_c, r), B = G A, C = U2^T(nu_c, r) appearing in the
@@ -103,7 +104,7 @@ class _PairFields:
         nrc = _outer(nu_r, nu_c)
         nn = _dot(nu_r, nu_c)[..., None, None]
         Q = lam * nrc + mu * _outer(nu_c, nu_r) + mu * nn * _I2
-        TG = self.U2r / (self.r**2)[..., None, None]
+        TG = self._u2(lam, mu, nu_r, self.rvec, self.G) / (self.r**2)[..., None, None]
         rnu_c = _dot(self.rvec, nu_c)[..., None, None]
         return nrc, Q, TG, rnu_c, Q @ self.G
 
@@ -161,8 +162,8 @@ class _PairFields:
 
 
 def _kernel_values(pf: _PairFields, rs, tags) -> dict:
-    """Evaluate the kernels `tags` on a batch of point pairs: the kernels
-    themselves from a Hankel-basis radial suite `rs`, their log r
+    """Evaluate the kernels `tags` (of V, K and W) on a batch of point pairs:
+    the kernels themselves from a Hankel-basis radial suite `rs`, their log r
     coefficients from a log-basis one.  Values have shape (..., 2, 2)."""
     out = {}
     if "V" in tags:
@@ -178,8 +179,6 @@ def _kernel_values(pf: _PairFields, rs, tags) -> dict:
     GA = pf.G @ A
     if "K" in tags:
         out["K"] = -f1 * A - f2 * GA - f3 * C
-    if "Kt" in tags:
-        out["Kt"] = f1 * pf.U1r + f2 * (pf.U1r @ pf.G) + f3 * pf.U2r
     if "W" in tags:
         # W = T_tau K(tau, t) with T_tau(g(r) I) = (g'/r) U1(nu_tau, r).
         f1p = rs.d2Phi1[..., None, None] / rc**2 - rs.dPhi1[..., None, None] / rc**3
@@ -245,7 +244,6 @@ class KernelSplit:
                  + M_smooth[i, m]
     """
 
-    tag: str
     c_hs: float
     c_pv: complex
     M_log: np.ndarray = field(repr=False)
@@ -319,33 +317,34 @@ def _diag_extrapolate(fn, grid, material, steps: int = 7):
 
 
 def _kernel_splits(material, grid, tags) -> dict:
-    """Four-way splits of the kernels `tags` on `grid`, from one pair-field
-    build and one radial suite per basis on all node pairs.
+    """Four-way splits of the kernels `tags` on `grid`.
 
-    Off the diagonal Kt(tau, t) = K(t, tau)^T exactly (r, G, U1 and U2 only
-    change sign under the swap), so when K is requested too, Kt's off-diagonal
-    blocks are K's block transpose; its diagonal is extrapolated on its own.
+    V, K and W come from one pair-field build and one radial suite per basis
+    on all node pairs, their diagonal limits from one shared extrapolation.
+    Kt(tau, t) = K(t, tau)^T: r, G, U1 and U2 only change sign under the
+    swap, and the cot and log parts of K transpose into those of Kt, so
+    Kt's M_log and M_smooth are K's block transposes, diagonal included.
     """
     tags = tuple(tags)
     for tag in tags:
         if tag not in TAGS:
             raise ValueError(f"unknown kernel tag {tag!r}; expected one of {TAGS}")
-    swept = tuple(tag for tag in tags if tag != "Kt" or "K" not in tags)
+    evaluated = tuple(dict.fromkeys("K" if tag == "Kt" else tag for tag in tags))
     N = grid.size
     diag = np.arange(N)
     x, nu, t = grid.x, grid.nu, grid.t
     d = t[:, None] - t[None, :]
-    smooth_diag, log_diag = _diagonal_limits(material, grid, tags)
+    smooth_diag, log_diag = _diagonal_limits(material, grid, evaluated)
     splits = {}
     # Values at r = 0 are not finite; the diagonal is replaced by its limits.
     with np.errstate(divide="ignore", invalid="ignore"):
         pf = _PairFields(
             material, x[:, None, :], nu[:, None, :], x[None, :, :], nu[None, :, :]
         )
-        mlogs, fulls = _split_values(material, pf, swept)
+        mlogs, fulls = _split_values(material, pf, evaluated)
         logfac = np.log(4.0 * np.sin(0.5 * d) ** 2)
         logfac[diag, diag] = 0.0
-        for tag in swept:
+        for tag in evaluated:
             M_log = mlogs[tag]
             if tag == "V":
                 # L Phi2 = O(r^2) and G stays bounded: only L Phi1(0) I survives.
@@ -354,22 +353,18 @@ def _kernel_splits(material, grid, tags) -> dict:
             elif tag == "W":
                 M_log[diag, diag] = log_diag["W"].real  # the log basis is real
             else:
-                # K, Kt: the log coefficient vanishes on the diagonal.
+                # K: the log coefficient vanishes on the diagonal.
                 M_log[diag, diag] = 0.0
             M_smooth = (fulls[tag] - _singular_parts(material, tag, d)
                         - M_log * logfac[..., None, None])
+            M_smooth[diag, diag] = smooth_diag[tag]
             splits[tag] = (M_log, M_smooth)
-    if "Kt" in tags and "Kt" not in swept:
+    if "Kt" in tags:
         splits["Kt"] = tuple(np.ascontiguousarray(m.transpose(1, 0, 3, 2))
                              for m in splits["K"])
-    out = {}
-    for tag in tags:
-        M_log, M_smooth = splits[tag]
-        M_smooth[diag, diag] = smooth_diag[tag]
-        out[tag] = KernelSplit(tag=tag, c_hs=_c_hs(material, tag),
-                               c_pv=_c_pv(material, tag),
-                               M_log=M_log, M_smooth=M_smooth)
-    return out
+    return {tag: KernelSplit(_c_hs(material, tag), _c_pv(material, tag),
+                             *splits[tag])
+            for tag in tags}
 
 
 def kernel_split(material, grid, tag: str) -> KernelSplit:

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .quadrature import _J
 from .special import radial_suite
 
 __all__ = [
@@ -26,8 +27,6 @@ __all__ = [
     "point_source",
     "trace_and_traction",
 ]
-
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,8 @@ def make_material(lam: float, mu: float, omega: float) -> Material:
 class IncidentField:
     """A solution of the Navier equation with pointwise value and gradient."""
 
-    kind: str
     u: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     grad: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    params: dict = field(default_factory=dict, repr=False)
 
 
 def plane_wave(material: Material, d, p) -> IncidentField:
@@ -126,8 +123,7 @@ def plane_wave(material: Material, d, p) -> IncidentField:
         gp = 1j * kp * np.multiply.outer(p_amp, d)
         return es * gs + ep * gp
 
-    return IncidentField(kind="plane", u=u, grad=grad,
-                         params={"d": d, "p": p})
+    return IncidentField(u=u, grad=grad)
 
 
 def point_source(material: Material, x0, q) -> IncidentField:
@@ -170,8 +166,7 @@ def point_source(material: Material, x0, q) -> IncidentField:
         )
         return out
 
-    return IncidentField(kind="point_source", u=u, grad=grad,
-                         params={"x0": x0, "q": q})
+    return IncidentField(u=u, grad=grad)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import _I2, _J, blocks_to_matrix
+
 __all__ = [
     "Symbol",
     "TransmissionRegularizer",
@@ -36,9 +38,6 @@ __all__ = [
     "transmission_operators",
 ]
 
-_J = np.array([[0.0, -1.0], [1.0, 0.0]])
-_I2 = np.eye(2)
-
 _SCALAR_KINDS = ("Lambda", "LambdaInv", "LambdaHalfInv", "H",
                  "LambdaKappa", "LambdaKappaInv")
 
@@ -49,8 +48,6 @@ class Symbol:
 
     n_max: int
     values: np.ndarray = field(repr=False)  # (2 n_max + 1, 2, 2) complex
-    kind: str = ""
-    kappa: complex | None = None
 
     def at(self, n: int) -> np.ndarray:
         """The 2x2 matrix acting on Fourier mode n."""
@@ -61,27 +58,22 @@ class Symbol:
     # -- algebra on symbols (per-mode matrix operations) --------------------
     def __matmul__(self, other: "Symbol") -> "Symbol":
         _check_same(self, other)
-        return Symbol(self.n_max, self.values @ other.values,
-                      kind=f"{self.kind}@{other.kind}", kappa=self.kappa or other.kappa)
+        return Symbol(self.n_max, self.values @ other.values)
 
     def __add__(self, other: "Symbol") -> "Symbol":
         _check_same(self, other)
-        return Symbol(self.n_max, self.values + other.values,
-                      kind=f"{self.kind}+{other.kind}", kappa=self.kappa or other.kappa)
+        return Symbol(self.n_max, self.values + other.values)
 
     def __sub__(self, other: "Symbol") -> "Symbol":
         _check_same(self, other)
-        return Symbol(self.n_max, self.values - other.values,
-                      kind=f"{self.kind}-{other.kind}", kappa=self.kappa or other.kappa)
+        return Symbol(self.n_max, self.values - other.values)
 
     def __rmul__(self, c) -> "Symbol":
-        return Symbol(self.n_max, c * self.values, kind=f"c*{self.kind}",
-                      kappa=self.kappa)
+        return Symbol(self.n_max, c * self.values)
 
     def inv(self) -> "Symbol":
         """Per-mode matrix inverse."""
-        return Symbol(self.n_max, np.linalg.inv(self.values),
-                      kind=f"({self.kind})^-1", kappa=self.kappa)
+        return Symbol(self.n_max, np.linalg.inv(self.values))
 
 
 def _check_same(a: Symbol, b: Symbol) -> None:
@@ -91,7 +83,7 @@ def _check_same(a: Symbol, b: Symbol) -> None:
 
 def identity_symbol(n_max: int) -> Symbol:
     values = np.broadcast_to(_I2, (2 * n_max + 1, 2, 2)).astype(complex).copy()
-    return Symbol(n_max=n_max, values=values, kind="I")
+    return Symbol(n_max=n_max, values=values)
 
 
 def _scalar_values(kind: str, kappa, n_max: int) -> np.ndarray:
@@ -131,8 +123,7 @@ def make_symbol(kind: str, kappa: complex | None = None, n_max: int = 256) -> Sy
     scal = _scalar_values(kind, kappa, n_max)
     base = _J if kind == "H" else _I2
     values = scal[:, None, None] * base
-    return Symbol(n_max=n_max, values=values.astype(complex), kind=kind,
-                  kappa=None if kind in _SCALAR_KINDS[:4] else complex(kappa))
+    return Symbol(n_max=n_max, values=values.astype(complex))
 
 
 def _modes_for(N: int) -> np.ndarray:
@@ -168,8 +159,6 @@ def symbol_matrix(symbol: Symbol, n: int) -> np.ndarray:
         raise ValueError("grid Nyquist mode exceeds symbol n_max")
     F = np.fft.fft(np.eye(N), axis=0)  # F[k, j] = exp(-2 pi i k j / N)
     M = symbol.values[modes + symbol.n_max]  # (N, 2, 2)
-    from .quadrature import blocks_to_matrix
-
     # blocks[i, j] = (1/N) sum_k e^{i k t_i} M(k) e^{-i k t_j}
     return blocks_to_matrix(_ifft_collapse(M, F))
 
@@ -187,8 +176,7 @@ def _ifft_collapse(M: np.ndarray, F: np.ndarray) -> np.ndarray:
 def symbol_transpose(symbol: Symbol) -> Symbol:
     """Transpose of the multiplier operator: M(n) -> M(-n)^T per mode."""
     values = np.transpose(symbol.values[::-1], (0, 2, 1)).copy()
-    return Symbol(n_max=symbol.n_max, values=values,
-                  kind=f"({symbol.kind})^T", kappa=symbol.kappa)
+    return Symbol(n_max=symbol.n_max, values=values)
 
 
 def ps_dtn(material, side: str, kappa: complex | None = None,
@@ -206,13 +194,8 @@ def ps_dtn(material, side: str, kappa: complex | None = None,
                           kappa=kappa, n_max=n_max)
     H = make_symbol("H", n_max=n_max)
     sgn = -1.0 if side == "exterior" else 1.0
-    half = identity_symbol(n_max)
-    inner = Symbol(n_max, 0.5 * half.values + sgn * material.alpha * H.values,
-                   kind="bracket")
-    out = (sgn / material.beta) * (lam_inv @ inner)
-    return Symbol(n_max=n_max, values=out.values,
-                  kind=f"PS(Y_{'+' if side == 'exterior' else '-'})",
-                  kappa=None if kappa is None else complex(kappa))
+    inner = 0.5 * identity_symbol(n_max) + (sgn * material.alpha) * H
+    return (sgn / material.beta) * (lam_inv @ inner)
 
 
 @dataclass(frozen=True)
@@ -225,7 +208,6 @@ class TransmissionRegularizer:
     R22: Symbol
     rho: float
     kappa: tuple  # (kappa_plus, kappa_minus) used in (C+, C-)
-    n_max: int
 
 
 def _calderon_symbol(material, kappa: complex, n_max: int) -> np.ndarray:
@@ -292,15 +274,12 @@ def make_transmission_regularizer(mat_plus, mat_minus, kappa=None,
             raise AssertionError("(C+ + C-)^2 = rho I failed at mode 1")
     R = (S @ (0.5 * np.eye(4) + Cm)) / rho  # (m, 4, 4)
 
-    def block(i, j, name):
-        return Symbol(n_max=n_max, values=R[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2].copy(),
-                      kind=name, kappa=kap_m if kap_p == kap_m else None)
+    def block(i, j):
+        return Symbol(n_max, R[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2].copy())
 
-    return TransmissionRegularizer(
-        R11=block(0, 0, "R11"), R12=block(0, 1, "R12"),
-        R21=block(1, 0, "R21"), R22=block(1, 1, "R22"),
-        rho=rho, kappa=(kap_p, kap_m), n_max=n_max,
-    )
+    return TransmissionRegularizer(R11=block(0, 0), R12=block(0, 1),
+                                   R21=block(1, 0), R22=block(1, 1),
+                                   rho=rho, kappa=(kap_p, kap_m))
 
 
 def transmission_operators(mat_plus, mat_minus, kappa: complex,
@@ -312,9 +291,6 @@ def transmission_operators(mat_plus, mat_minus, kappa: complex,
 
     so Im<Upsilon_+ g, conj g> > 0 and Im<Upsilon_- g, conj g> < 0.
     """
-    kappa = complex(kappa)
-    ups_minus = -1.0 * ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=n_max)
     ups_plus = -1.0 * ps_dtn(mat_minus, "interior", kappa=kappa, n_max=n_max)
-    ups_plus = Symbol(n_max, ups_plus.values, kind="Upsilon+", kappa=kappa)
-    ups_minus = Symbol(n_max, ups_minus.values, kind="Upsilon-", kappa=kappa)
+    ups_minus = -1.0 * ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=n_max)
     return ups_plus, ups_minus

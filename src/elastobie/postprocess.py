@@ -52,8 +52,8 @@ def _term_kernel(term, points):
     """(M, N, 2, 2) potential kernel of one representation term."""
     grid = term.grid
     x_r = np.asarray(points, dtype=float)[:, None, :]
-    nu_dummy = np.zeros_like(x_r)
-    pf = _PairFields(term.material, x_r, nu_dummy, grid.x[None, :, :],
+    # Off the surface there is no row normal; only W would read one.
+    pf = _PairFields(term.material, x_r, None, grid.x[None, :, :],
                      grid.nu[None, :, :])
     tag = "V" if term.layer == "SL" else "K"
     return _kernel_values(pf, radial_suite(term.material, pf.r), (tag,))[tag]

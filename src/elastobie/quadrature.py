@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "QuadratureSet",
-    "DenseOperator",
     "build_quadrature",
     "assemble_bio",
     "blocks_to_matrix",
@@ -105,24 +104,6 @@ def _circulant(half: np.ndarray, odd: bool = False) -> np.ndarray:
     return col[(offset[:, None] - offset[None, :]) % (2 * n)]
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """Dense 4n x 4n matrix acting on interleaved 2-component densities."""
-
-    matrix: np.ndarray = field(repr=False)
-    tag: str = ""
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    def __matmul__(self, other):
-        if isinstance(other, DenseOperator):
-            return DenseOperator(matrix=self.matrix @ other.matrix,
-                                 tag=f"{self.tag}@{other.tag}")
-        return self.matrix @ np.asarray(other)
-
-
 def blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
     """(N, N, 2, 2) per-pair blocks -> (2N, 2N) interleaved matrix."""
     N = blocks.shape[0]
@@ -145,8 +126,9 @@ def unflatten_density(vec: np.ndarray) -> np.ndarray:
     return np.asarray(vec).reshape(-1, 2)
 
 
-def assemble_bio(split, quadrature: QuadratureSet, grid) -> DenseOperator:
-    """Assemble one boundary integral operator from its kernel split."""
+def assemble_bio(split, quadrature: QuadratureSet, grid) -> np.ndarray:
+    """Assemble one boundary integral operator, as a dense 4n x 4n matrix on
+    interleaved 2-component densities, from its kernel split."""
     N = grid.size
     if quadrature.n != grid.n or split.M_log.shape[0] != N:
         raise ValueError("grid, quadrature and kernel split sizes disagree")
@@ -159,4 +141,4 @@ def assemble_bio(split, quadrature: QuadratureSet, grid) -> DenseOperator:
     if split.c_pv != 0.0:
         # c_pv (1/4pi) Int cot((t_i - t)/2) J phi dt = -(c_pv/2) (pv phi) J
         blocks = blocks + (-0.5 * split.c_pv) * quadrature.pv[:, :, None, None] * _J
-    return DenseOperator(matrix=blocks_to_matrix(blocks), tag=split.tag)
+    return blocks_to_matrix(blocks)

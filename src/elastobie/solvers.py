@@ -28,21 +28,14 @@ class SolveReport:
     method: str = "gmres"
 
 
-def _as_matvec(A):
-    if callable(A):
-        return A
-    M = np.asarray(A)
-    return lambda v: M @ v
-
-
 def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
-    """Full GMRES for a dense matrix or a matvec callable.
+    """Full GMRES for a dense matrix.
 
     Stops when ||b - A x_k|| / ||b|| <= tol (monitored via the Arnoldi
     least-squares residual, which is exact in exact arithmetic and protected
     here by reorthogonalization).
     """
-    matvec = _as_matvec(A)
+    A = np.asarray(A)
     b = np.asarray(b, dtype=complex)
     N = b.size
     if maxiter is None:
@@ -64,7 +57,7 @@ def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
     k_done = 0
     res = 1.0
     for k in range(maxiter):
-        w = matvec(V[k])
+        w = A @ V[k]
         # modified Gram-Schmidt + one reorthogonalization pass
         for i in range(k + 1):
             h = np.vdot(V[i], w)

@@ -407,7 +407,7 @@ def test_criterion_11_eigenvalue_clustering():
     # single-equation Schwarz operator B+ clusters at 1
     Up, Um = _robin_matrices(mp, mm, grid, mm.kappa)
     single = rtr_exterior(mp, mm, grid, mm.kappa, Up, Um, variant="single")
-    eig_b = np.linalg.eigvals(single.meta["bplus"].matrix)
+    eig_b = np.linalg.eigvals(single.meta["bplus"])
     assert np.mean(np.abs(eig_b - 1.0) <= 0.5) >= 0.9
 
 

@@ -1,0 +1,60 @@
+"""Guard for the benchmark's tracer (perfbench/tracer.py): every function it
+traces still exists under its name in its elastobie module, and takes the
+argument names that the tracer's span records read."""
+
+import importlib
+import inspect
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import elastobie as eb
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    """The tracer module, executed from its source so that nothing is
+    written next to it."""
+    module = types.ModuleType("_perfbench_tracer")
+    sys.modules[module.__name__] = module  # dataclasses look the module up
+    try:
+        exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+        yield module
+    finally:
+        del sys.modules[module.__name__]
+
+
+def _traced(name):
+    module, attr = name.split(".")
+    return getattr(importlib.import_module(f"elastobie.{module}"), attr)
+
+
+def test_every_traced_function_resolves(tracer):
+    for name in tracer.TRACED:
+        assert inspect.isfunction(_traced(name)), name
+
+
+def test_span_records_bind_their_arguments(tracer, mat21):
+    grid = eb.sample_grid(eb.make_curve("circle"), 8)
+    calls = {
+        "special.radial_suite": (mat21, np.array([0.5, 1.0])),
+        "quadrature.build_quadrature": (8,),
+        "solvers.gmres": (np.eye(3), np.ones(3)),
+        "kernels.kernel_split": (mat21, grid, "V"),
+    }
+    assert set(calls) == set(tracer.SPAN_INFO)
+    infos = {}
+    for name, args in calls.items():
+        fn = _traced(name)
+        bound = inspect.signature(fn).bind(*args).arguments
+        infos[name] = tracer.SPAN_INFO[name](bound, fn(*args))
+    assert infos["special.radial_suite"] == 2
+    assert infos["quadrature.build_quadrature"] == 8
+    assert infos["solvers.gmres"] == 1
+    assert infos["kernels.kernel_split"][-2:] == (8, "V")
+

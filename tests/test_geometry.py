@@ -71,7 +71,6 @@ def test_grid_layout(starfish32):
     g = starfish32
     assert g.size == 64
     assert np.allclose(np.diff(g.t), np.pi / g.n)
-    assert np.allclose(g.t_shift - g.t, np.pi / (2 * g.n))
     assert np.allclose(g.nu[:, 0], g.dx[:, 1])
     assert np.allclose(g.nu[:, 1], -g.dx[:, 0])
     assert np.allclose(g.speed, np.linalg.norm(g.dx, axis=-1))

@@ -127,6 +127,38 @@ def test_manufactured_cell_reports_error_column():
     assert row.eps_inf is not None and row.eps_inf < 1e-8
 
 
+MANUFACTURED = {
+    "table": "bad-manufactured",
+    "problem": "manufactured",
+    "geometry": {"kind": "circle"},
+    "materials": {"exterior": {"lam": 1.0, "mu": 1.0}},
+    "incidence": {"type": "point_source", "location": [0.1, -0.2],
+                  "polarization": [1.0, 0.7]},
+    "formulations": [{"name": "V"}],
+    "cases": [{"omega": 2, "n": 24}],
+    "timing": "none",
+}
+
+
+def _no_assembly(*args, **kwargs):
+    raise AssertionError("operators assembled for a config that cannot run")
+
+
+def test_manufactured_plane_wave_incidence_fails_early(monkeypatch):
+    monkeypatch.setattr("elastobie.harness.boundary_operators", _no_assembly)
+    config = dict(MANUFACTURED,
+                  incidence={"type": "P", "direction": [0.0, -1.0]})
+    with pytest.raises(ValueError, match="incidence.type"):
+        run_experiment(config)
+
+
+def test_unknown_manufactured_formulation_fails_early(monkeypatch):
+    monkeypatch.setattr("elastobie.harness.boundary_operators", _no_assembly)
+    config = dict(MANUFACTURED, formulations=[{"name": "V"}, {"name": "X"}])
+    with pytest.raises(ValueError, match="'X'"):
+        run_experiment(config)
+
+
 def test_nonconvergence_is_flagged():
     config = dict(SMOKE, solver={"tol": 1e-8, "maxiter": 2})
     (row,) = run_experiment(config)

@@ -71,13 +71,11 @@ def test_hankel_family_matches_amos_hankel():
 
 
 def test_adjoint_double_layer_is_exact_block_transpose(starfish32, mat28):
-    ops = boundary_operators(mat28, starfish32)
-    K, Kt = matrix_to_blocks(ops["K"]), matrix_to_blocks(ops["Kt"])
-    off = ~np.eye(starfish32.size, dtype=bool)
-    assert np.array_equal(Kt[off], K.transpose(1, 0, 3, 2)[off])
-    # the diagonal is extrapolated for each operator on its own
-    alone = matrix_to_blocks(boundary_operators(mat28, starfish32, tags=("Kt",))["Kt"])
-    assert np.abs(alone - Kt).max() <= 1e-12 * np.abs(Kt).max()
+    K = matrix_to_blocks(boundary_operators(mat28, starfish32, tags=("K",))["K"])
+    for tags in (("K", "Kt"), ("Kt",)):
+        ops = boundary_operators(mat28, starfish32, tags=tags)
+        Kt = matrix_to_blocks(ops["Kt"])
+        assert np.array_equal(Kt, K.transpose(1, 0, 3, 2)), tags
 
 
 def test_singularity_constants(mat21):
