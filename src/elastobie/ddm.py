@@ -153,6 +153,8 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     the INTERIOR material's complexified wavenumber (the benchmark
     convention).
     """
+    if variant not in ("plain", "eps", "single"):
+        raise ValueError(f"unknown exterior RtR variant {variant!r}")
     kappa = complex(kappa) if kappa is not None else mat_minus.kappa
     inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident,
                                                     cauchy_data)

@@ -95,10 +95,18 @@ class PotentialRepresentation:
 
 
 def boundary_operators(material: Material, grid, tags=("V", "K", "Kt", "W")) -> dict:
-    """Assemble the requested dense boundary integral operators."""
+    """Assemble the requested dense boundary integral operators.
+
+    Kt is K's transpose: its split is K's block transpose, R and T are
+    exactly symmetric, pv is exactly antisymmetric and J^T = -J.
+    """
     quad = build_quadrature(grid.n)
-    splits = _kernel_splits(material, grid, tags)
-    return {tag: assemble_bio(splits[tag], quad, grid) for tag in tags}
+    splits = _kernel_splits(material, grid, dict.fromkeys(
+        "K" if tag == "Kt" else tag for tag in tags))
+    ops = {tag: assemble_bio(split, quad, grid) for tag, split in splits.items()}
+    if "Kt" in tags:
+        ops["Kt"] = ops["K"].T.copy()
+    return {tag: ops[tag] for tag in tags}
 
 
 def calderon_matrix(material: Material, grid) -> np.ndarray:
@@ -128,6 +136,8 @@ def assemble_dirichlet(kind: str, material: Material, grid,
     eta_dirichlet); for CFIER the complexified wavenumber kappa (default
     material.kappa).
     """
+    if kind not in ("CFIE", "CFIER"):
+        raise ValueError(f"unknown Dirichlet formulation {kind!r}")
     N = grid.size
     ops = boundary_operators(material, grid, tags=("V", "K"))
     rhs = _dirichlet_rhs(material, grid, incident, trace_data)
@@ -137,14 +147,12 @@ def assemble_dirichlet(kind: str, material: Material, grid,
             raise ValueError("CFIE coupling eta must be nonzero")
         A = 0.5 * _eye(2 * N) + ops["K"] - 1j * eta * ops["V"]
         meta = {"eta": eta, "material": material}
-    elif kind == "CFIER":
+    else:  # CFIER
         kappa = material.kappa if coupling is None else complex(coupling)
         reg = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n)
         Rmat = symbol_matrix(reg, grid.n)
         A = 0.5 * _eye(2 * N) + ops["K"] - ops["V"] @ Rmat
         meta = {"kappa": kappa, "regularizer": reg, "material": material}
-    else:
-        raise ValueError(f"unknown Dirichlet formulation {kind!r}")
     return LinearSystem(operator=DenseOperator(A),
                         rhs=rhs, tag=f"dirichlet-{kind}", grid=grid, meta=meta)
 
@@ -232,44 +240,53 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
     (gamma u-, T- u-); ICFIER solves for indirect densities (g, phi).
     RHS Cauchy data of the incident field use the EXTERIOR traction T+.
     """
-    N = grid.size
+    if kind not in ("SC", "KR", "DCFIER", "ICFIER"):
+        raise ValueError(f"unknown transmission formulation {kind!r}")
     inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident,
                                                     cauchy_data)
+    # The system is built in place in the Calderon matrices' memory.
     Cp = calderon_matrix(mat_plus, grid)
     Cm = calderon_matrix(mat_minus, grid)
+    diag = np.diag_indices_from(Cp)
     b0 = np.concatenate([flatten_density(inc_trace),
                          flatten_density(inc_traction)])
-    I8 = _eye(4 * N)
     meta = {"mat_plus": mat_plus, "mat_minus": mat_minus,
             "inc_trace": inc_trace, "inc_traction": inc_traction}
-    if kind == "SC":
-        A = -(Cp + Cm)
-        rhs = b0
-    elif kind == "KR":
+    rhs = b0
+    if kind == "KR":
         # RHS carries no factor 2: applying (I + C- - C+) to the interior
         # Cauchy data and using the Calderon identities yields exactly the
         # incident Cauchy data (verified against the SC solve).
-        A = I8 + Cm - Cp
-        rhs = b0
-    elif kind in ("DCFIER", "ICFIER"):
-        # kappa=None complexifies each material's Calderon symbol with its
-        # own kappa (the benchmark convention); a complex value is shared.
-        reg = make_transmission_regularizer(mat_plus, mat_minus, kappa,
-                                            n_max=grid.n)
-        kappa = reg.kappa
-        R, Rt = _regularizer_matrices(reg, grid.n)
-        meta.update(kappa=kappa, regularizer=reg)
-        if kind == "DCFIER":
-            A = 0.5 * I8 + Cm - Rt @ (Cp + Cm)
-            rhs = Rt @ b0
-        else:
-            # The indirect reconstruction's Cauchy-data jumps equal
-            # +L_ind (g, phi); matching the physical jumps -(incident data)
-            # requires the negated RHS (verified against the direct solves).
-            A = 0.5 * I8 - Cm + (Cp + Cm) @ R
-            rhs = -b0
+        A = Cm
+        A -= Cp
+        A[diag] += 1.0
     else:
-        raise ValueError(f"unknown transmission formulation {kind!r}")
+        S = Cp
+        S += Cm  # C+ + C-
+        if kind == "SC":
+            A = np.negative(S, out=S)
+        else:
+            # kappa=None complexifies each material's Calderon symbol with
+            # its own kappa (the benchmark convention); a complex value is
+            # shared.
+            reg = make_transmission_regularizer(mat_plus, mat_minus, kappa,
+                                                n_max=grid.n)
+            kappa = reg.kappa
+            R, Rt = _regularizer_matrices(reg, grid.n)
+            meta.update(kappa=kappa, regularizer=reg)
+            if kind == "DCFIER":
+                # 1/2 I + C- - R^T (C+ + C-)
+                A = np.subtract(Cm, Rt @ S, out=Cm)
+                rhs = Rt @ b0
+            else:
+                # 1/2 I - C- + (C+ + C-) R.  The indirect reconstruction's
+                # Cauchy-data jumps equal +L_ind (g, phi); matching the
+                # physical jumps -(incident data) requires the negated RHS
+                # (verified against the direct solves).
+                A = S @ R
+                A -= Cm
+                rhs = -b0
+            A[diag] += 0.5
     return LinearSystem(operator=DenseOperator(A),
                         rhs=rhs, tag=f"transmission-{kind}", grid=grid, meta=meta)
 

@@ -49,12 +49,12 @@ def default_directions(m: int = 360):
 
 
 def _term_kernel(term, points):
-    """(M, N, 2, 2) potential kernel of one representation term."""
+    """(2, 2, M, N) potential kernel of one representation term."""
     grid = term.grid
-    x_r = np.asarray(points, dtype=float)[:, None, :]
+    x_r = np.asarray(points, dtype=float).T[:, :, None]
     # Off the surface there is no row normal; only W would read one.
-    pf = _PairFields(term.material, x_r, None, grid.x[None, :, :],
-                     grid.nu[None, :, :])
+    pf = _PairFields(term.material, x_r, None, grid.x.T[:, None, :],
+                     grid.nu.T[:, None, :])
     tag = "V" if term.layer == "SL" else "K"
     return _kernel_values(pf, radial_suite(term.material, pf.r), (tag,))[tag]
 
@@ -81,9 +81,9 @@ def eval_potential(representation, points, region: str = "exterior") -> np.ndarr
             warnings.warn("evaluation point within 5 grid spacings of the "
                           "boundary; plain trapezoid quadrature degrades",
                           stacklevel=2)
-        ker = _term_kernel(term, points)  # (M, N, 2, 2)
+        ker = _term_kernel(term, points)  # (2, 2, M, N)
         w = np.pi / grid.n
-        out += w * np.einsum("mnij,nj->mi", ker, term.density)
+        out += w * (ker[:, 0] @ term.density[:, 0] + ker[:, 1] @ term.density[:, 1]).T
     return out
 
 

@@ -119,3 +119,14 @@ def test_error_paths(grid, mats):
     system = assemble_transmission("KR", mp, mm, grid, incident=inc)
     with pytest.raises(ValueError):
         ddm_fields(system, np.zeros(system.rhs.size))
+
+
+def test_unknown_variant_fails_before_assembly(grid, mats, monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("operators assembled for a variant that cannot run")
+
+    monkeypatch.setattr("elastobie.ddm.boundary_operators", no_assembly)
+    mp, mm = mats
+    inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="'triple'"):
+        assemble_ddm(mp, mm, grid, incident=inc, variant="triple")

@@ -174,3 +174,22 @@ def test_error_paths(grid, mat):
                                            np.zeros((grid.size, 2))))
     with pytest.raises(ValueError):
         assemble_transmission("KR", mat, mat, grid)
+
+
+def _no_assembly(*args, **kwargs):
+    raise AssertionError("operators assembled for a formulation that cannot run")
+
+
+def test_unknown_dirichlet_formulation_fails_before_assembly(grid, mat, monkeypatch):
+    monkeypatch.setattr("elastobie.formulations.boundary_operators", _no_assembly)
+    with pytest.raises(ValueError, match="'MFIE'"):
+        assemble_dirichlet("MFIE", mat, grid,
+                           trace_data=np.zeros((grid.size, 2)))
+
+
+def test_unknown_transmission_formulation_fails_before_assembly(grid, mat, monkeypatch):
+    monkeypatch.setattr("elastobie.formulations.boundary_operators", _no_assembly)
+    with pytest.raises(ValueError, match="'XX'"):
+        assemble_transmission("XX", mat, mat, grid,
+                              cauchy_data=(np.zeros((grid.size, 2)),
+                                           np.zeros((grid.size, 2))))

@@ -7,9 +7,9 @@ from scipy.special import hankel1
 
 from elastobie import fundamental_solution, kernel_split
 from elastobie.formulations import boundary_operators
-from elastobie.kernels import TAGS, _c_hs, _c_pv, _singular_parts
+from elastobie.kernels import TAGS, _c_hs, _c_pv, _kernel_splits
 from elastobie.quadrature import matrix_to_blocks
-from elastobie.special import _family
+from elastobie.special import _family, radial_suite
 
 
 def _reassemble(split, grid):
@@ -76,6 +76,107 @@ def test_adjoint_double_layer_is_exact_block_transpose(starfish32, mat28):
         ops = boundary_operators(mat28, starfish32, tags=tags)
         Kt = matrix_to_blocks(ops["Kt"])
         assert np.array_equal(Kt, K.transpose(1, 0, 3, 2)), tags
+
+
+def _stacked_kernels(material, grid, rs):
+    """V, K and W on all node pairs from the stacked (N, N, 2, 2) products
+    of U1, U2, G and their tractions: the reference for the component forms."""
+    lam, mu = material.lam, material.mu
+    I2 = np.eye(2)
+
+    def outer(a, b):
+        return np.einsum("...i,...j->...ij", a, b)
+
+    def dot(a, b):
+        return np.einsum("...i,...i->...", a, b)[..., None, None]
+
+    rvec = grid.x[:, None, :] - grid.x[None, :, :]
+    m = np.broadcast_to(grid.nu[:, None, :], rvec.shape)
+    n = np.broadcast_to(grid.nu[None, :, :], rvec.shape)
+    rc = np.linalg.norm(rvec, axis=-1)[..., None, None]
+    G = outer(rvec, rvec) / rc**2
+
+    def u1(nv):
+        return lam * outer(nv, rvec) + mu * outer(rvec, nv) + mu * dot(nv, rvec) * I2
+
+    def u2(nv):
+        return ((lam + 2 * mu) * outer(nv, rvec) + mu * outer(rvec, nv)
+                + mu * dot(nv, rvec) * (I2 - 4 * G))
+
+    A = np.swapaxes(u1(n), -1, -2)
+    C = np.swapaxes(u2(n), -1, -2)
+    GA = G @ A
+    nrc = outer(m, n)
+    Q = lam * nrc + mu * outer(n, m) + mu * dot(m, n) * I2
+    TG = u2(m) / rc**2
+    rnu = dot(rvec, n)
+    w = np.einsum("...ij,...j->...i", G, n)
+    TA = 2 * lam * (lam + mu) * nrc + 2 * mu * Q
+    TB = (2 * lam * (lam + mu) * nrc
+          + mu * (lam * outer(m, w) + mu * outer(w, m) + mu * dot(m, w) * I2)
+          + mu * outer(np.einsum("...ij,...j->...i", TG, n), rvec)
+          + mu * Q @ G + mu * rnu * TG)
+    TC = (2 * (lam + 2 * mu) * (lam + mu) * nrc + 2 * mu * Q
+          - 4 * mu * Q @ G - 4 * mu * rnu * TG)
+    p1, p2, dp1, dp2, d2p1, d2p2 = (
+        getattr(rs, k)[..., None, None]
+        for k in ("Phi1", "Phi2", "dPhi1", "dPhi2", "d2Phi1", "d2Phi2"))
+    f1, f2, f3 = dp1 / rc, dp2 / rc, p2 / rc**2
+    f1p = d2p1 / rc**2 - dp1 / rc**3
+    f2p = d2p2 / rc**2 - dp2 / rc**3
+    f3p = dp2 / rc**3 - 2 * p2 / rc**4
+    V1 = u1(m)
+    return {"V": p1 * I2 + p2 * G,
+            "K": -f1 * A - f2 * GA - f3 * C,
+            "W": (-f1p * (V1 @ A) - f1 * TA - f2p * (V1 @ GA) - f2 * TB
+                  - f3p * (V1 @ C) - f3 * TC)}
+
+
+def test_component_forms_match_stacked_products(starfish32, mat28):
+    # Off the diagonal, M_log and M_smooth of V, K and W against the same
+    # split built from the stacked 2x2 products on all N^2 pairs.
+    grid = starfish32
+    N = grid.size
+    off = ~np.eye(N, dtype=bool)
+    r = np.linalg.norm(grid.x[:, None, :] - grid.x[None, :, :], axis=-1)
+    d = grid.t[:, None] - grid.t[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = _stacked_kernels(mat28, grid, radial_suite(mat28, r, "log", True))
+        fulls = _stacked_kernels(mat28, grid, radial_suite(mat28, r, "hankel", True))
+        logfac = np.log(4 * np.sin(0.5 * d) ** 2)[..., None, None]
+    for tag in ("V", "K", "W"):
+        split = kernel_split(mat28, grid, tag)
+        m_log = 0.5 * logs[tag]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m_smooth = (fulls[tag] - _singular_parts_from(split, d)
+                        - m_log * logfac)
+        for new, ref in ((split.M_log, m_log), (split.M_smooth, m_smooth)):
+            err = np.abs(new[off] - ref[off]).max() / np.abs(ref[off]).max()
+            assert err <= 1e-13, (tag, err)
+
+
+def test_single_and_hypersingular_splits_are_exactly_block_symmetric(
+        starfish32, mat28):
+    off = ~np.eye(starfish32.size, dtype=bool)
+    for tag in ("V", "W"):
+        split = kernel_split(mat28, starfish32, tag)
+        for M in (split.M_log, split.M_smooth):
+            assert np.array_equal(M[off], M.transpose(1, 0, 3, 2)[off]), tag
+
+
+def test_split_evaluates_each_unordered_pair_once(starfish32, mat28, monkeypatch):
+    points = []
+
+    def counting_suite(material, r, *args, **kwargs):
+        points.append(np.size(r))
+        return radial_suite(material, r, *args, **kwargs)
+
+    monkeypatch.setattr("elastobie.kernels.radial_suite", counting_suite)
+    _kernel_splits(mat28, starfish32, TAGS)
+    N = starfish32.size
+    # Both bases: the N(N-1)/2 pairs i < j, and 7 extrapolation steps at
+    # +-h for each of the N diagonal entries.
+    assert sum(points) == 2 * (N * (N - 1) // 2) + 2 * (2 * 7 * N)
 
 
 def test_singularity_constants(mat21):
