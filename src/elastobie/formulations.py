@@ -207,15 +207,16 @@ def assemble_neumann(kind: str, material: Material, grid,
                         rhs=rhs, tag=f"neumann-{kind}", grid=grid, meta=meta)
 
 
-def _regularizer_matrices(reg, n: int):
-    """Dense 8n x 8n realizations of R_kappa and of its block transpose
-    R^T = [[R22^T, -R12^T], [-R21^T, R11^T]] (multiplier transposes)."""
-    m = {k: symbol_matrix(getattr(reg, k), n) for k in ("R11", "R12", "R21", "R22")}
-    R = np.block([[m["R11"], m["R12"]], [m["R21"], m["R22"]]])
-    mt = {k: symbol_matrix(symbol_transpose(getattr(reg, k)), n)
-          for k in ("R11", "R12", "R21", "R22")}
-    Rt = np.block([[mt["R22"], -mt["R12"]], [-mt["R21"], mt["R11"]]])
-    return R, Rt
+def _regularizer_matrix(reg, n: int, transpose: bool = False):
+    """Dense 8n x 8n realization of R_kappa or, with `transpose`, of its
+    block transpose R^T = [[R22^T, -R12^T], [-R21^T, R11^T]] (multiplier
+    transposes)."""
+    m = {k: symbol_matrix(symbol_transpose(getattr(reg, k)) if transpose
+                          else getattr(reg, k), n)
+         for k in ("R11", "R12", "R21", "R22")}
+    if transpose:
+        return np.block([[m["R22"], -m["R12"]], [-m["R21"], m["R11"]]])
+    return np.block([[m["R11"], m["R12"]], [m["R21"], m["R22"]]])
 
 
 def _incident_cauchy_data(mat_plus: Material, grid, incident, cauchy_data):
@@ -272,10 +273,10 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
             reg = make_transmission_regularizer(mat_plus, mat_minus, kappa,
                                                 n_max=grid.n)
             kappa = reg.kappa
-            R, Rt = _regularizer_matrices(reg, grid.n)
             meta.update(kappa=kappa, regularizer=reg)
             if kind == "DCFIER":
                 # 1/2 I + C- - R^T (C+ + C-)
+                Rt = _regularizer_matrix(reg, grid.n, transpose=True)
                 A = np.subtract(Cm, Rt @ S, out=Cm)
                 rhs = Rt @ b0
             else:
@@ -283,7 +284,7 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
                 # Cauchy-data jumps equal +L_ind (g, phi); matching the
                 # physical jumps -(incident data) requires the negated RHS
                 # (verified against the direct solves).
-                A = S @ R
+                A = S @ _regularizer_matrix(reg, grid.n)
                 A -= Cm
                 rhs = -b0
             A[diag] += 0.5

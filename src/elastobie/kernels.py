@@ -33,7 +33,8 @@ is a sum of radial functions times real 2x2 tensors (A, G A, C for K; the
 products with U1(nu_tau, r) and the tractions of A, G A, C for W), written
 out in closed form by component and built once per set of pairs for both
 bases.  Kt is never evaluated: its split is K's block transpose, diagonal
-included, and its assembled operator is K's transpose.
+included, and its assembled operator is K's transpose.  Splits are stored
+component-major too, as (2, 2, N, N) arrays indexed [p, q, i, m].
 """
 
 from __future__ import annotations
@@ -260,8 +261,11 @@ class KernelSplit:
 
     kernel[i, m] = c_hs (1/4pi) csc^2((t_i - t_m)/2) I
                  + c_pv (1/4pi) cot((t_i - t_m)/2) J
-                 + M_log[i, m] log(4 sin^2((t_i - t_m)/2))
-                 + M_smooth[i, m]
+                 + M_log[:, :, i, m] log(4 sin^2((t_i - t_m)/2))
+                 + M_smooth[:, :, i, m]
+
+    M_log and M_smooth have shape (2, 2, N, N): component (p, q) of the 2x2
+    block of the node pair (i, m) is M[p, q, i, m].
     """
 
     c_hs: float
@@ -271,8 +275,8 @@ class KernelSplit:
 
 
 def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
-    """Diagonal limits, as (N, 2, 2) blocks, of M_smooth for every tag and
-    of M_log for W.
+    """Diagonal limits, as (2, 2, N) component arrays, of M_smooth for every
+    tag and of M_log for W.
 
     The smooth remainder kernel - singular parts - log part (and the W log
     coefficient) is evaluated at the parameter pairs (t_i +- h, t_i) of all
@@ -291,9 +295,9 @@ def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
             out.append(mlogs["W"])
         return np.stack(out)
 
-    limits = np.moveaxis(_diag_extrapolate(fn, grid, material), -1, 0)
-    smooth = {tag: limits[:, i] for i, tag in enumerate(tags)}
-    return smooth, ({"W": limits[:, -1]} if with_w_log else {})
+    limits = _diag_extrapolate(fn, grid, material)
+    smooth = dict(zip(tags, limits))
+    return smooth, ({"W": limits[-1]} if with_w_log else {})
 
 
 def _neville_even(values, h):
@@ -365,23 +369,22 @@ def _kernel_splits(material, grid, tags) -> dict:
     smooth_diag, log_diag = _diagonal_limits(material, grid, evaluated)
     # V: L Phi2 = O(r^2) and G stays bounded, so only (1/2) L Phi1(0) I =
     # -beta/(2 pi) I survives; K: the log coefficient vanishes on the diagonal.
-    log_diag.update(V=np.broadcast_to(-material.beta / (2.0 * np.pi) * _I2,
-                                      (N, 2, 2)),
-                    K=np.zeros((N, 2, 2)))
-
+    v_log = -material.beta / (2.0 * np.pi) * _I2
+    log_diag.update(V=np.broadcast_to(v_log[:, :, None], (2, 2, N)),
+                    K=np.zeros((2, 2, N)))
     flat_up, flat_low, flat_diag = i * N + j, j * N + i, np.arange(N) * (N + 1)
 
-    def blocks(up, low, diagonal):
-        """(N, N, 2, 2) blocks from the values on the pairs i < j, on the
-        swapped pairs, and the diagonal, scattered one component at a time."""
-        out = np.empty((N * N, 2, 2), dtype=np.result_type(up, diagonal))
+    def planes(up, low, diagonal):
+        """(2, 2, N, N) planes from the values on the pairs i < j, the swapped
+        pairs and the diagonal; flat indices beat out[..., i, j] by ~3x."""
+        out = np.empty((2, 2, N * N), dtype=np.result_type(up, diagonal))
         for p in range(2):
             for q in range(2):
-                comp = out[:, p, q]
-                comp[flat_up] = up[p, q]
-                comp[flat_low] = low[p, q]
-                comp[flat_diag] = diagonal[:, p, q]
-        return out.reshape(N, N, 2, 2)
+                plane = out[p, q]
+                plane[flat_up] = up[p, q]
+                plane[flat_low] = low[p, q]
+                plane[flat_diag] = diagonal[p, q]
+        return out.reshape(2, 2, N, N)
 
     splits = {}
     for tag in evaluated:
@@ -390,8 +393,8 @@ def _kernel_splits(material, grid, tags) -> dict:
         else:
             lows = (mlogs[tag].swapaxes(0, 1), smooths[tag].swapaxes(0, 1))
         # the log basis is real; the extrapolated limits are complex-typed
-        splits[tag] = (blocks(mlogs[tag], lows[0], log_diag[tag].real),
-                       blocks(smooths[tag], lows[1], smooth_diag[tag]))
+        splits[tag] = (planes(mlogs[tag], lows[0], log_diag[tag].real),
+                       planes(smooths[tag], lows[1], smooth_diag[tag]))
     if "Kt" in tags:
         splits["Kt"] = tuple(np.ascontiguousarray(m.transpose(1, 0, 3, 2))
                              for m in splits["K"])

@@ -3,9 +3,7 @@
 Symbols are per-mode 2x2 matrices M(n) for n = -n_max .. n_max.  The scalar
 building blocks are
 
-* Lambda        : 1 at n = 0, 1/|n| otherwise     (order -1 smoothing);
 * Lambda^{-1}   : 1 at n = 0, |n| otherwise;
-* Lambda^{-1/2} : 1 at n = 0, |n|^{1/2} otherwise;
 * H             : sign(n), with +1 at n = 0;
 * Lambda_kappa  : (n^2 - kappa^2)^{-1/2}, principal square root, and its
   inverse.  With Re kappa > 0, Im kappa > 0 the root (n^2 - kappa^2)^{1/2}
@@ -24,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _I2, _J, blocks_to_matrix
+from .quadrature import _I2, _J
 
 __all__ = [
     "Symbol",
@@ -38,8 +36,7 @@ __all__ = [
     "transmission_operators",
 ]
 
-_SCALAR_KINDS = ("Lambda", "LambdaInv", "LambdaHalfInv", "H",
-                 "LambdaKappa", "LambdaKappaInv")
+_SCALAR_KINDS = ("LambdaInv", "H", "LambdaKappa", "LambdaKappaInv")
 
 
 @dataclass(frozen=True)
@@ -88,12 +85,8 @@ def identity_symbol(n_max: int) -> Symbol:
 
 def _scalar_values(kind: str, kappa, n_max: int) -> np.ndarray:
     n = np.arange(-n_max, n_max + 1, dtype=float)
-    if kind == "Lambda":
-        return np.where(n == 0.0, 1.0, 1.0 / np.maximum(np.abs(n), 1.0)).astype(complex)
     if kind == "LambdaInv":
         return np.where(n == 0.0, 1.0, np.abs(n)).astype(complex)
-    if kind == "LambdaHalfInv":
-        return np.where(n == 0.0, 1.0, np.sqrt(np.abs(n))).astype(complex)
     if kind == "H":
         return np.where(n >= 0.0, 1.0, -1.0).astype(complex)
     # kappa variants
@@ -159,17 +152,12 @@ def symbol_matrix(symbol: Symbol, n: int) -> np.ndarray:
         raise ValueError("grid Nyquist mode exceeds symbol n_max")
     F = np.fft.fft(np.eye(N), axis=0)  # F[k, j] = exp(-2 pi i k j / N)
     M = symbol.values[modes + symbol.n_max]  # (N, 2, 2)
-    # blocks[i, j] = (1/N) sum_k e^{i k t_i} M(k) e^{-i k t_j}
-    return blocks_to_matrix(_ifft_collapse(M, F))
-
-
-def _ifft_collapse(M: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """(N,2,2) per-mode matrices and FFT matrix -> (N,N,2,2) nodal blocks."""
-    N = F.shape[0]
-    out = np.empty((N, N, 2, 2), dtype=complex)
+    # block (i, j) = (1/N) sum_k e^{i k t_i} M(k) e^{-i k t_j}; its component
+    # (a, b) fills the plane out[a::2, b::2]
+    out = np.empty((2 * N, 2 * N), dtype=complex)
     for a in range(2):
         for b in range(2):
-            out[:, :, a, b] = np.fft.ifft(M[:, a, b][:, None] * F, axis=0)
+            out[a::2, b::2] = np.fft.ifft(M[:, a, b][:, None] * F, axis=0)
     return out
 
 

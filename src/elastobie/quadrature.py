@@ -29,8 +29,6 @@ __all__ = [
     "QuadratureSet",
     "build_quadrature",
     "assemble_bio",
-    "blocks_to_matrix",
-    "matrix_to_blocks",
     "flatten_density",
     "unflatten_density",
 ]
@@ -48,20 +46,6 @@ class QuadratureSet:
     T: np.ndarray = field(repr=False)  # Kress finite-part weights
     pv: np.ndarray = field(repr=False)  # shifted-grid Cauchy p.v. rule
     trapezoid: float = 0.0
-
-
-def shifted_interpolation_matrix(n: int) -> np.ndarray:
-    """Matrix mapping nodal values at t_j to values at t_j + pi/(2n), by
-    trigonometric interpolation (FFT with phase factors; Nyquist mode is
-    treated symmetrically as cos(nt) so real data stay real)."""
-    N = 2 * n
-    h = np.pi / (2 * n)
-    k = np.fft.fftfreq(N, d=1.0 / N)  # 0..n-1, -n..-1
-    phase = np.exp(1j * k * h)
-    phase[n] = np.cos(n * h)  # Nyquist
-    F = np.fft.fft(np.eye(N), axis=0)
-    S = np.fft.ifft(phase[:, None] * F, axis=0)
-    return np.ascontiguousarray(np.real(S))
 
 
 def build_quadrature(n: int) -> QuadratureSet:
@@ -104,18 +88,6 @@ def _circulant(half: np.ndarray, odd: bool = False) -> np.ndarray:
     return col[(offset[:, None] - offset[None, :]) % (2 * n)]
 
 
-def blocks_to_matrix(blocks: np.ndarray) -> np.ndarray:
-    """(N, N, 2, 2) per-pair blocks -> (2N, 2N) interleaved matrix."""
-    N = blocks.shape[0]
-    return blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
-
-
-def matrix_to_blocks(matrix: np.ndarray) -> np.ndarray:
-    """(2N, 2N) interleaved matrix -> (N, N, 2, 2) per-pair blocks."""
-    N = matrix.shape[0] // 2
-    return matrix.reshape(N, 2, N, 2).transpose(0, 2, 1, 3)
-
-
 def flatten_density(values: np.ndarray) -> np.ndarray:
     """(N, 2) nodal vector field -> interleaved (2N,) vector."""
     return np.asarray(values).reshape(-1)
@@ -128,17 +100,27 @@ def unflatten_density(vec: np.ndarray) -> np.ndarray:
 
 def assemble_bio(split, quadrature: QuadratureSet, grid) -> np.ndarray:
     """Assemble one boundary integral operator, as a dense 4n x 4n matrix on
-    interleaved 2-component densities, from its kernel split."""
+    interleaved 2-component densities, from its kernel split.
+
+    Component (p, q) of the split fills the plane out[p::2, q::2] with
+    w M_smooth[p, q] + 2 pi R M_log[p, q], plus c_hs T where p == q and
+    -(c_pv/2) J[p, q] pv where p != q.
+    """
     N = grid.size
-    if quadrature.n != grid.n or split.M_log.shape[0] != N:
+    if quadrature.n != grid.n or split.M_log.shape[-1] != N:
         raise ValueError("grid, quadrature and kernel split sizes disagree")
     w = quadrature.trapezoid
-    blocks = w * split.M_smooth + (
-        2.0 * np.pi * quadrature.R[:, :, None, None]
-    ) * split.M_log
-    if split.c_hs != 0.0:
-        blocks = blocks + split.c_hs * quadrature.T[:, :, None, None] * _I2
-    if split.c_pv != 0.0:
-        # c_pv (1/4pi) Int cot((t_i - t)/2) J phi dt = -(c_pv/2) (pv phi) J
-        blocks = blocks + (-0.5 * split.c_pv) * quadrature.pv[:, :, None, None] * _J
-    return blocks_to_matrix(blocks)
+    R = 2.0 * np.pi * quadrature.R
+    out = np.empty((2 * N, 2 * N),
+                   dtype=np.result_type(split.M_smooth, split.M_log))
+    # c_pv (1/4pi) Int cot((t_i - t)/2) J phi dt = -(c_pv/2) (pv phi) J
+    for p in range(2):
+        for q in range(2):
+            plane = w * split.M_smooth[p, q]
+            plane += R * split.M_log[p, q]
+            if p == q and split.c_hs != 0.0:
+                plane += split.c_hs * quadrature.T
+            if p != q and split.c_pv != 0.0:
+                plane += (-0.5 * split.c_pv) * quadrature.pv * _J[p, q]
+            out[p::2, q::2] = plane
+    return out

@@ -83,11 +83,14 @@ def test_emit_table_layout():
 
 
 def test_run_experiment_smoke_and_determinism():
-    rows1 = run_experiment(SMOKE)
-    rows2 = run_experiment(SMOKE, threads=2)
-    assert len(rows1) == 1
-    assert rows1[0].formulation == "CFIER"
-    assert rows1[0].iterations > 0
+    # Four cells, so that two threads run cells at the same time.
+    config = dict(SMOKE, formulations=[{"name": "CFIE"}, {"name": "CFIER"}],
+                  cases=[{"omega": 4, "n": 8}, {"omega": 6, "n": 8}])
+    rows1 = run_experiment(config)
+    rows2 = run_experiment(config, threads=2)
+    assert [(r.omega, r.formulation) for r in rows1] == [
+        (4, "CFIE"), (4, "CFIER"), (6, "CFIE"), (6, "CFIER")]
+    assert all(r.iterations > 0 for r in rows1)
     # timing "none" zeroes the only nondeterministic column: bit-identical CSV
     assert emit_table(rows1, table_name="t") == emit_table(rows2, table_name="t")
 

@@ -8,35 +8,35 @@ from scipy.special import hankel1
 from elastobie import fundamental_solution, kernel_split
 from elastobie.formulations import boundary_operators
 from elastobie.kernels import TAGS, _c_hs, _c_pv, _kernel_splits
-from elastobie.quadrature import matrix_to_blocks
 from elastobie.special import _family, radial_suite
 
 
 def _reassemble(split, grid):
-    """Off-diagonal kernel values implied by the four-way split."""
+    """Off-diagonal kernel values implied by the four-way split, as a
+    (2, 2, N, N) array like the split's own."""
     t = grid.t
     d = t[:, None] - t[None, :]
     off = ~np.eye(grid.size, dtype=bool)
     out = np.zeros_like(split.M_smooth)
-    out[off] = (
-        _singular_parts_from(split, d)[off]
-        + split.M_log[off]
-        * np.log(4.0 * np.sin(0.5 * d[off]) ** 2)[..., None, None]
-        + split.M_smooth[off]
+    out[:, :, off] = (
+        _singular_parts_from(split, d)[:, :, off]
+        + split.M_log[:, :, off] * np.log(4.0 * np.sin(0.5 * d[off]) ** 2)
+        + split.M_smooth[:, :, off]
     )
     return out, off
 
 
 def _singular_parts_from(split, d):
+    """c_hs and c_pv parts of the split at offsets d, shape (2, 2) + d.shape."""
     J = np.array([[0.0, -1.0], [1.0, 0.0]])
-    out = np.zeros(d.shape + (2, 2), dtype=complex)
+    out = np.zeros((2, 2) + d.shape, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         if split.c_hs != 0.0:
-            out += (split.c_hs / (4 * np.pi) / np.sin(0.5 * d) ** 2)[
-                ..., None, None] * np.eye(2)
+            out += (split.c_hs / (4 * np.pi) / np.sin(0.5 * d) ** 2) \
+                * np.eye(2)[:, :, None, None]
         if split.c_pv != 0.0:
-            out += (split.c_pv / (4 * np.pi) / np.tan(0.5 * d))[
-                ..., None, None] * J
+            out += (split.c_pv / (4 * np.pi) / np.tan(0.5 * d)) \
+                * J[:, :, None, None]
     return out
 
 
@@ -47,7 +47,7 @@ def test_single_layer_split_reassembles_fundamental_solution(circle48, mat21):
     x = circle48.x
     ii, jj = np.where(off)
     phi = fundamental_solution(mat21, x[ii], x[jj])
-    assert np.abs(full[off] - phi).max() < 1e-12
+    assert np.abs(full[:, :, off] - phi.transpose(1, 2, 0)).max() < 1e-12
 
 
 def test_double_layer_reciprocity(starfish32, mat21):
@@ -56,8 +56,8 @@ def test_double_layer_reciprocity(starfish32, mat21):
     kt = kernel_split(mat21, starfish32, "Kt")
     fk, off = _reassemble(k, starfish32)
     fkt, _ = _reassemble(kt, starfish32)
-    swapped = np.swapaxes(np.swapaxes(fk, 0, 1), -1, -2)
-    assert np.abs(fkt[off] - swapped[off]).max() < 1e-11
+    swapped = fk.transpose(1, 0, 3, 2)
+    assert np.abs(fkt[:, :, off] - swapped[:, :, off]).max() < 1e-11
 
 
 def test_hankel_family_matches_amos_hankel():
@@ -71,11 +71,11 @@ def test_hankel_family_matches_amos_hankel():
 
 
 def test_adjoint_double_layer_is_exact_block_transpose(starfish32, mat28):
-    K = matrix_to_blocks(boundary_operators(mat28, starfish32, tags=("K",))["K"])
+    # On the interleaved layout the block transpose is the matrix transpose.
+    K = boundary_operators(mat28, starfish32, tags=("K",))["K"]
     for tags in (("K", "Kt"), ("Kt",)):
         ops = boundary_operators(mat28, starfish32, tags=tags)
-        Kt = matrix_to_blocks(ops["Kt"])
-        assert np.array_equal(Kt, K.transpose(1, 0, 3, 2)), tags
+        assert np.array_equal(ops["Kt"], K.T), tags
 
 
 def _stacked_kernels(material, grid, rs):
@@ -134,7 +134,8 @@ def _stacked_kernels(material, grid, rs):
 
 def test_component_forms_match_stacked_products(starfish32, mat28):
     # Off the diagonal, M_log and M_smooth of V, K and W against the same
-    # split built from the stacked 2x2 products on all N^2 pairs.
+    # split built from the stacked 2x2 products on all N^2 pairs, moved to
+    # the split's (2, 2, N, N) layout.
     grid = starfish32
     N = grid.size
     off = ~np.eye(N, dtype=bool)
@@ -143,15 +144,16 @@ def test_component_forms_match_stacked_products(starfish32, mat28):
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = _stacked_kernels(mat28, grid, radial_suite(mat28, r, "log", True))
         fulls = _stacked_kernels(mat28, grid, radial_suite(mat28, r, "hankel", True))
-        logfac = np.log(4 * np.sin(0.5 * d) ** 2)[..., None, None]
+        logfac = np.log(4 * np.sin(0.5 * d) ** 2)
     for tag in ("V", "K", "W"):
         split = kernel_split(mat28, grid, tag)
-        m_log = 0.5 * logs[tag]
+        m_log = 0.5 * logs[tag].transpose(2, 3, 0, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            m_smooth = (fulls[tag] - _singular_parts_from(split, d)
-                        - m_log * logfac)
+            m_smooth = (fulls[tag].transpose(2, 3, 0, 1)
+                        - _singular_parts_from(split, d) - m_log * logfac)
         for new, ref in ((split.M_log, m_log), (split.M_smooth, m_smooth)):
-            err = np.abs(new[off] - ref[off]).max() / np.abs(ref[off]).max()
+            err = (np.abs(new[:, :, off] - ref[:, :, off]).max()
+                   / np.abs(ref[:, :, off]).max())
             assert err <= 1e-13, (tag, err)
 
 
@@ -161,7 +163,9 @@ def test_single_and_hypersingular_splits_are_exactly_block_symmetric(
     for tag in ("V", "W"):
         split = kernel_split(mat28, starfish32, tag)
         for M in (split.M_log, split.M_smooth):
-            assert np.array_equal(M[off], M.transpose(1, 0, 3, 2)[off]), tag
+            assert M.shape == (2, 2) + off.shape
+            assert np.array_equal(M[:, :, off],
+                                  M.transpose(1, 0, 3, 2)[:, :, off]), tag
 
 
 def test_split_evaluates_each_unordered_pair_once(starfish32, mat28, monkeypatch):
@@ -194,13 +198,14 @@ def test_singularity_constants(mat21):
 def test_log_coefficient_diagonal(circle48, mat21):
     # V: M_log(t, t) = -beta/(2 pi) I (static log coefficient of Phi1);
     # K, Kt: the log coefficient vanishes on the diagonal.
+    idx = np.arange(circle48.size)
     v = kernel_split(mat21, circle48, "V")
-    diag = v.M_log[np.arange(circle48.size), np.arange(circle48.size)]
-    expected = -mat21.beta / (2.0 * np.pi) * np.eye(2)
+    diag = v.M_log[:, :, idx, idx]
+    expected = -mat21.beta / (2.0 * np.pi) * np.eye(2)[:, :, None]
     assert np.abs(diag - expected).max() < 1e-10
     for tag in ("K", "Kt"):
         s = kernel_split(mat21, circle48, tag)
-        d = s.M_log[np.arange(circle48.size), np.arange(circle48.size)]
+        d = s.M_log[:, :, idx, idx]
         assert np.abs(d).max() < 1e-13
 
 
@@ -208,7 +213,7 @@ def test_smooth_part_is_smooth(circle48, mat21):
     # The remainder of the split must be a smooth biperiodic function: its
     # Fourier coefficients along a row decay spectrally.
     s = kernel_split(mat21, circle48, "W")
-    row = s.M_smooth[0, :, 0, 0]
+    row = s.M_smooth[0, 0, 0, :]
     coeffs = np.abs(np.fft.fft(row)) / row.size
     mid = circle48.n  # highest resolved mode
     assert coeffs[mid - 4:mid + 5].max() < 1e-8 * max(coeffs.max(), 1.0)

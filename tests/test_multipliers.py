@@ -40,15 +40,13 @@ def test_symbol_algebra_is_per_mode():
 
 
 def test_scalar_symbol_values():
-    lam = make_symbol("Lambda", n_max=8)
     lam_inv = make_symbol("LambdaInv", n_max=8)
-    half = make_symbol("LambdaHalfInv", n_max=8)
     for k in (-8, -3, 0, 1, 5):
         a = max(abs(k), 1)  # zero mode regularized to 1
-        assert np.allclose(lam.at(k), np.eye(2) / a)     # order -1
         assert np.allclose(lam_inv.at(k), a * np.eye(2))  # order +1
-        assert np.allclose(half.at(k), np.sqrt(a) * np.eye(2))
-        assert np.allclose((lam @ lam_inv).at(k), np.eye(2))
+    for kind in ("Lambda", "LambdaHalfInv"):
+        with pytest.raises(ValueError):
+            make_symbol(kind, n_max=8)
 
 
 def test_h_symbol_squares_to_minus_identity():
@@ -80,6 +78,27 @@ def test_apply_multiplier_and_matrix_agree(circle48):
     M = symbol_matrix(H, n)
     via_matrix = (M @ g.reshape(-1)).reshape(-1, 2)
     assert np.allclose(via_fft, via_matrix, atol=1e-12)
+
+
+def test_symbol_matrix_matches_the_block_ifft():
+    # Reference: the (N, N, 2, 2) per-pair blocks, one inverse FFT per
+    # component, interleaved so that block (i, j) sits at rows 2i:2i+2,
+    # columns 2j:2j+2.
+    rng = np.random.default_rng(11)
+    n, n_max = 12, 16
+    N = 2 * n
+    sym = Symbol(n_max=n_max,
+                 values=rng.standard_normal((2 * n_max + 1, 2, 2))
+                 + 1j * rng.standard_normal((2 * n_max + 1, 2, 2)))
+    F = np.fft.fft(np.eye(N), axis=0)
+    M = sym.values[np.fft.fftfreq(N, d=1.0 / N).astype(int) + n_max]
+    blocks = np.empty((N, N, 2, 2), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            blocks[:, :, a, b] = np.fft.ifft(M[:, a, b][:, None] * F, axis=0)
+    ref = blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
+    got = symbol_matrix(sym, n)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_multiplier_acts_diagonally_on_modes():

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from elastobie.quadrature import (blocks_to_matrix, build_quadrature,
-                                  flatten_density, matrix_to_blocks,
-                                  shifted_interpolation_matrix,
-                                  unflatten_density)
+from elastobie import kernel_split
+from elastobie.quadrature import (assemble_bio, build_quadrature,
+                                  flatten_density, unflatten_density)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +61,21 @@ def test_trapezoid_weight(quad16):
     assert quad16.trapezoid == pytest.approx(np.pi / 16)
 
 
+def shifted_interpolation_matrix(n: int) -> np.ndarray:
+    """Matrix mapping nodal values at t_j to values at t_j + pi/(2n), by
+    trigonometric interpolation (FFT with phase factors; Nyquist mode is
+    treated symmetrically as cos(nt) so real data stay real): the oracle
+    for the shifted-grid p.v. rule."""
+    N = 2 * n
+    h = np.pi / (2 * n)
+    k = np.fft.fftfreq(N, d=1.0 / N)  # 0..n-1, -n..-1
+    phase = np.exp(1j * k * h)
+    phase[n] = np.cos(n * h)  # Nyquist
+    F = np.fft.fft(np.eye(N), axis=0)
+    S = np.fft.ifft(phase[:, None] * F, axis=0)
+    return np.ascontiguousarray(np.real(S))
+
+
 def test_shifted_interpolation_is_exact_for_trig_polynomials():
     n = 12
     S = shifted_interpolation_matrix(n)
@@ -81,17 +95,6 @@ def test_flatten_round_trip(m):
     rng = np.random.default_rng(m)
     v = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
     assert np.array_equal(unflatten_density(flatten_density(v)), v)
-
-
-@given(st.integers(min_value=2, max_value=8))
-def test_blocks_matrix_round_trip(m):
-    rng = np.random.default_rng(m)
-    blocks = rng.standard_normal((m, m, 2, 2))
-    M = blocks_to_matrix(blocks)
-    assert M.shape == (2 * m, 2 * m)
-    assert np.array_equal(matrix_to_blocks(M), blocks)
-    # interleaving: block (i, j) sits at rows 2i:2i+2, cols 2j:2j+2
-    assert np.array_equal(M[2:4, 0:2], blocks[1, 0])
 
 
 def test_build_quadrature_rejects_tiny_n():
@@ -119,3 +122,25 @@ def test_weights_are_circulants_of_the_cosine_sums(n):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(q.R, q.R.T) and np.array_equal(q.T, q.T.T)
     assert np.array_equal(q.pv, -q.pv.T)
+
+
+def test_assemble_bio_matches_the_block_formula(starfish32, mat28):
+    # Reference: the operator formed on (N, N, 2, 2) per-pair blocks,
+    # w M_smooth + 2 pi R M_log + c_hs T I - (c_pv/2) pv J, then interleaved
+    # so that block (i, m) sits at rows 2i:2i+2, columns 2m:2m+2.
+    q = build_quadrature(starfish32.n)
+    N = starfish32.size
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for tag in ("V", "K", "W"):
+        split = kernel_split(mat28, starfish32, tag)
+        M_log, M_smooth = (M.transpose(2, 3, 0, 1)
+                           for M in (split.M_log, split.M_smooth))
+        blocks = q.trapezoid * M_smooth + (
+            2.0 * np.pi * q.R[:, :, None, None]) * M_log
+        if split.c_hs != 0.0:
+            blocks = blocks + split.c_hs * q.T[:, :, None, None] * np.eye(2)
+        if split.c_pv != 0.0:
+            blocks = blocks + (-0.5 * split.c_pv) * q.pv[:, :, None, None] * J
+        ref = blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
+        got = assemble_bio(split, q, starfish32)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), tag
