@@ -43,7 +43,6 @@ from .ddm import (
     rtr_interior,
     rtr_exterior,
     assemble_ddm,
-    ddm_fields,
     bplus_principal_symbol,
 )
 from .postprocess import FarField, eval_potential, far_field, eps_inf

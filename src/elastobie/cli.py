@@ -37,44 +37,34 @@ def main() -> None:
 
 
 @main.command(name="run")
-@click.argument("config_path", required=False,
-                type=click.Path(exists=True, dir_okay=False))
-@click.option("--config", "config_flag",
-              type=click.Path(exists=True, dir_okay=False),
-              help="configuration file (alternative to the positional argument)")
+@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="output CSV path (default: config 'output', else stdout)")
 @click.option("--threads", type=int, default=None,
               help=f"worker threads (default: ${THREADS_ENV_VAR}, else 1)")
 @click.option("--format", "fmt", type=click.Choice(["csv", "aligned-text"]),
               default="csv", show_default=True)
-def run_cmd(config_path, config_flag, out, threads, fmt) -> None:
+def run_cmd(config_path, out, threads, fmt) -> None:
     """Run the experiment described by a JSON configuration file."""
-    path = config_path or config_flag
-    if path is None:
-        raise click.UsageError("provide a config path (positional or --config)")
-    config = load_config(path)
+    config = load_config(config_path)
     _execute(config, out or config.get("output"), threads, fmt)
 
 
 @main.command(name="preset")
 @click.argument("name", required=False)
-@click.option("--preset", "preset_flag", default=None,
-              help="preset name (alternative to the positional argument)")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--threads", type=int, default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "aligned-text"]),
               default="csv", show_default=True)
 @click.option("--list", "list_only", is_flag=True, help="list preset names")
-def preset_cmd(name, preset_flag, out, threads, fmt, list_only) -> None:
+def preset_cmd(name, out, threads, fmt, list_only) -> None:
     """Run one of the built-in benchmark-table presets."""
     if list_only:
         for key in PRESETS:
             click.echo(key)
         return
-    name = name or preset_flag
     if name is None:
-        raise click.UsageError("provide a preset name (positional or --preset)")
+        raise click.UsageError("provide a preset name")
     if name not in PRESETS:
         raise click.UsageError(
             f"unknown preset {name!r}; available: {', '.join(PRESETS)}")

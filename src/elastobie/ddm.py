@@ -45,20 +45,18 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .formulations import (DenseOperator, LinearSystem,
-                           PotentialRepresentation, PotentialTerm,
+from .formulations import (DenseOperator, LinearSystem, _green_terms,
                            _incident_cauchy_data, boundary_operators)
 from .materials import Material
 from .multipliers import (Symbol, identity_symbol, make_symbol, ps_dtn,
                           symbol_matrix, transmission_operators)
-from .quadrature import flatten_density, unflatten_density
+from .quadrature import flatten_density
 
 __all__ = [
     "RtRMap",
     "rtr_interior",
     "rtr_exterior",
     "assemble_ddm",
-    "ddm_fields",
     "bplus_principal_symbol",
 ]
 
@@ -168,34 +166,17 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     b_tr = flatten_density(inc_trace)
     b_tn = flatten_density(inc_traction)
     rhs = np.concatenate([-(b_tn + Up @ b_tr), b_tn + Um @ b_tr])
-    meta = {"mat_plus": mat_plus, "mat_minus": mat_minus, "kappa": kappa,
-            "variant": variant, "S_plus": S_plus, "S_minus": S_minus,
-            "inc_trace": inc_trace, "inc_traction": inc_traction}
-    return LinearSystem(operator=DenseOperator(M),
-                        rhs=rhs, tag="transmission-DDM", grid=grid, meta=meta)
 
+    # the representation keeps only the data maps, not the RtR matrices
+    plus_map, minus_map = S_plus.data_map, S_minus.data_map
 
-def ddm_fields(system: LinearSystem, solution: np.ndarray) -> PotentialRepresentation:
-    """Layer-potential representation of the subdomain fields from the
-    solved Robin data (lambda_+, lambda_-)."""
-    if system.tag != "transmission-DDM":
-        raise ValueError("expected a transmission-DDM system")
-    meta, grid = system.meta, system.grid
-    L = 2 * grid.size
-    lam_p, lam_m = np.asarray(solution)[:L], np.asarray(solution)[L:]
-    dp = meta["S_plus"].data_map @ lam_p
-    dm = meta["S_minus"].data_map @ lam_m
-    g_p, t_p = unflatten_density(dp[:L]), unflatten_density(dp[L:])
-    g_m, t_m = unflatten_density(dm[:L]), unflatten_density(dm[L:])
-    terms = (
-        # exterior scattered field: u+ = DL+ (gamma u+) - SL+ (T+ u+)
-        PotentialTerm("DL", meta["mat_plus"], grid, g_p, region="exterior"),
-        PotentialTerm("SL", meta["mat_plus"], grid, -t_p, region="exterior"),
-        # interior total field: u- = -DL- (gamma u-) + SL- (T- u-)
-        PotentialTerm("DL", meta["mat_minus"], grid, -g_m, region="interior"),
-        PotentialTerm("SL", meta["mat_minus"], grid, t_m, region="interior"),
-    )
-    return PotentialRepresentation(terms=terms)
+    def represent(x):  # Green's formula on each subdomain's Cauchy data
+        plus, minus = plus_map @ x[:L], minus_map @ x[L:]
+        return (_green_terms(mat_plus, grid, *np.split(plus, 2), "exterior")
+                + _green_terms(mat_minus, grid, *np.split(minus, 2), "interior"))
+    return LinearSystem(operator=DenseOperator(M), rhs=rhs,
+                        tag="transmission-DDM", grid=grid, represent=represent,
+                        meta={"kappa": kappa, "variant": variant})
 
 
 def bplus_principal_symbol(mat_plus: Material, mat_minus: Material,

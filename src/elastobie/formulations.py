@@ -24,10 +24,14 @@ Formulations assembled here:
 * transmission KR      (I + C- - C+) (...) = (gamma u_inc, T+ u_inc)
 * transmission DCFIER  (1/2 I + C- - R^T (C+ + C-)) (...) = R^T (rhs of SC)
 * transmission ICFIER  (1/2 I - C- + (C+ + C-) R) (g, phi) = (rhs of SC)
+
+Each assembler returns its system with its representation: `represent` maps
+a solution to the layer potentials of its fields, as in the ansatz above.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +67,16 @@ class DenseOperator:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dense system A x = b plus everything needed to interpret x."""
+    """Dense system A x = b; represent maps a solution x to the tuple of
+    PotentialTerms of its fields (reconstruct_fields wraps it).  meta holds
+    the parameters used (eta, kappa, variant) and a one-material system's
+    material."""
 
     operator: DenseOperator
     rhs: np.ndarray = field(repr=False)
     tag: str
-    grid: object = field(repr=False, default=None)
+    grid: object = field(repr=False)
+    represent: Callable = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -92,6 +100,17 @@ class PotentialRepresentation:
     """Sum of layer potentials; evaluate with postprocess.eval_potential."""
 
     terms: tuple
+
+
+def _green_terms(material: Material, grid, a, b, region: str) -> tuple:
+    """Green's formula for the densities a, b (interleaved or (N, 2)):
+    u = DL a - SL b outside the curve, u = -DL a + SL b inside."""
+    a, b = unflatten_density(a), unflatten_density(b)
+    if region == "exterior":
+        return (PotentialTerm("DL", material, grid, a, region),
+                PotentialTerm("SL", material, grid, -b, region))
+    return (PotentialTerm("DL", material, grid, -a, region),
+            PotentialTerm("SL", material, grid, b, region))
 
 
 def boundary_operators(material: Material, grid, tags=("V", "K", "Kt", "W")) -> dict:
@@ -119,14 +138,6 @@ def _eye(N: int) -> np.ndarray:
     return np.eye(N, dtype=complex)
 
 
-def _dirichlet_rhs(material, grid, incident, trace_data):
-    if trace_data is not None:
-        return flatten_density(np.asarray(trace_data, dtype=complex))
-    if incident is None:
-        raise ValueError("either incident field or trace data required")
-    return -flatten_density(incident.u(grid.x))
-
-
 def assemble_dirichlet(kind: str, material: Material, grid,
                        coupling=None, incident=None,
                        trace_data=None) -> LinearSystem:
@@ -138,36 +149,50 @@ def assemble_dirichlet(kind: str, material: Material, grid,
     """
     if kind not in ("CFIE", "CFIER"):
         raise ValueError(f"unknown Dirichlet formulation {kind!r}")
+    if trace_data is not None:
+        rhs = flatten_density(np.asarray(trace_data, dtype=complex))
+    elif incident is not None:
+        rhs = -flatten_density(incident.u(grid.x))
+    else:
+        raise ValueError("either incident field or trace data required")
     N = grid.size
     ops = boundary_operators(material, grid, tags=("V", "K"))
-    rhs = _dirichlet_rhs(material, grid, incident, trace_data)
     if kind == "CFIE":
         eta = material.eta_dirichlet if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
         A = 0.5 * _eye(2 * N) + ops["K"] - 1j * eta * ops["V"]
         meta = {"eta": eta, "material": material}
+
+        def represent(x):  # u = DL phi - i eta SL phi
+            return _green_terms(material, grid, x, 1j * eta * x, "exterior")
     else:  # CFIER
         kappa = material.kappa if coupling is None else complex(coupling)
         reg = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n)
-        Rmat = symbol_matrix(reg, grid.n)
-        A = 0.5 * _eye(2 * N) + ops["K"] - ops["V"] @ Rmat
-        meta = {"kappa": kappa, "regularizer": reg, "material": material}
-    return LinearSystem(operator=DenseOperator(A),
-                        rhs=rhs, tag=f"dirichlet-{kind}", grid=grid, meta=meta)
+        A = 0.5 * _eye(2 * N) + ops["K"] - ops["V"] @ symbol_matrix(reg, grid.n)
+        meta = {"kappa": kappa, "material": material}
+
+        def represent(x):  # u = DL phi - SL R^D phi
+            return _green_terms(material, grid, x, apply_multiplier(
+                reg, unflatten_density(x)), "exterior")
+    return LinearSystem(operator=DenseOperator(A), rhs=rhs,
+                        tag=f"dirichlet-{kind}", grid=grid,
+                        represent=represent, meta=meta)
 
 
 def assemble_neumann(kind: str, material: Material, grid,
                      coupling=None, incident=None,
                      traction_data=None, trace_data=None) -> LinearSystem:
     """Combined-field system for the exterior Neumann (traction) problem."""
+    if kind not in ("CFIE", "CFIER", "DCFIER"):
+        raise ValueError(f"unknown Neumann formulation {kind!r}")
     N = grid.size
+    inc_cd = None if incident is None else trace_and_traction(incident, grid,
+                                                              material)
     if traction_data is not None:
-        rhs_tr = flatten_density(np.asarray(traction_data, dtype=complex))
-        inc_cd = None
-    elif incident is not None:
-        inc_cd = trace_and_traction(incident, grid, material)
-        rhs_tr = -flatten_density(inc_cd.traction)
+        rhs = flatten_density(np.asarray(traction_data, dtype=complex))
+    elif inc_cd is not None:
+        rhs = -flatten_density(inc_cd.traction)
     else:
         raise ValueError("either incident field or traction data required")
 
@@ -178,33 +203,38 @@ def assemble_neumann(kind: str, material: Material, grid,
         ops = boundary_operators(material, grid, tags=("Kt", "W"))
         A = 0.5 * _eye(2 * N) - ops["Kt"] + 1j * eta * ops["W"]
         meta = {"eta": eta, "material": material}
-        rhs = rhs_tr
-    elif kind == "CFIER":
-        kappa = material.kappa if coupling is None else complex(coupling)
-        regN = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n).inv()
-        ops = boundary_operators(material, grid, tags=("Kt", "W"))
-        A = 0.5 * _eye(2 * N) - ops["Kt"] + ops["W"] @ symbol_matrix(regN, grid.n)
-        meta = {"kappa": kappa, "regularizer": regN, "material": material}
-        rhs = rhs_tr
-    elif kind == "DCFIER":
-        # direct regularized system on the total-field trace
-        if incident is None and trace_data is None:
-            raise ValueError("DCFIER needs the incident field (or trace data)")
+
+        def represent(x):  # u = i eta DL phi - SL phi
+            return _green_terms(material, grid, 1j * eta * x, x, "exterior")
+    else:
         kappa = material.kappa if coupling is None else complex(coupling)
         regN = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n).inv()
         Rm = symbol_matrix(regN, grid.n)
-        ops = boundary_operators(material, grid, tags=("K", "W"))
-        A = 0.5 * _eye(2 * N) - ops["K"] + Rm @ ops["W"]
-        if incident is not None:
-            inc_cd = trace_and_traction(incident, grid, material)
-            rhs = flatten_density(inc_cd.trace) - Rm @ flatten_density(inc_cd.traction)
-        else:
-            rhs = flatten_density(np.asarray(trace_data, dtype=complex))
-        meta = {"kappa": kappa, "regularizer": regN, "material": material}
-    else:
-        raise ValueError(f"unknown Neumann formulation {kind!r}")
-    return LinearSystem(operator=DenseOperator(A),
-                        rhs=rhs, tag=f"neumann-{kind}", grid=grid, meta=meta)
+        meta = {"kappa": kappa, "material": material}
+        if kind == "CFIER":
+            ops = boundary_operators(material, grid, tags=("Kt", "W"))
+            A = 0.5 * _eye(2 * N) - ops["Kt"] + ops["W"] @ Rm
+
+            def represent(x):  # u = DL R^N phi - SL phi
+                return _green_terms(material, grid, apply_multiplier(
+                    regN, unflatten_density(x)), x, "exterior")
+        else:  # DCFIER: direct regularized system on the total-field trace
+            if inc_cd is not None:
+                rhs = (flatten_density(inc_cd.trace)
+                       - Rm @ flatten_density(inc_cd.traction))
+            elif trace_data is not None:
+                rhs = flatten_density(np.asarray(trace_data, dtype=complex))
+            else:
+                raise ValueError("DCFIER needs the incident field (or trace data)")
+            ops = boundary_operators(material, grid, tags=("K", "W"))
+            A = 0.5 * _eye(2 * N) - ops["K"] + Rm @ ops["W"]
+
+            def represent(x):  # zero total traction => u_scat = DL g
+                return (PotentialTerm("DL", material, grid,
+                                      unflatten_density(x)),)
+    return LinearSystem(operator=DenseOperator(A), rhs=rhs,
+                        tag=f"neumann-{kind}", grid=grid,
+                        represent=represent, meta=meta)
 
 
 def _regularizer_matrix(reg, n: int, transpose: bool = False):
@@ -251,8 +281,7 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
     diag = np.diag_indices_from(Cp)
     b0 = np.concatenate([flatten_density(inc_trace),
                          flatten_density(inc_traction)])
-    meta = {"mat_plus": mat_plus, "mat_minus": mat_minus,
-            "inc_trace": inc_trace, "inc_traction": inc_traction}
+    meta = {}
     rhs = b0
     if kind == "KR":
         # RHS carries no factor 2: applying (I + C- - C+) to the interior
@@ -272,8 +301,7 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
             # shared.
             reg = make_transmission_regularizer(mat_plus, mat_minus, kappa,
                                                 n_max=grid.n)
-            kappa = reg.kappa
-            meta.update(kappa=kappa, regularizer=reg)
+            meta["kappa"] = reg.kappa
             if kind == "DCFIER":
                 # 1/2 I + C- - R^T (C+ + C-)
                 Rt = _regularizer_matrix(reg, grid.n, transpose=True)
@@ -288,66 +316,31 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
                 A -= Cm
                 rhs = -b0
             A[diag] += 0.5
-    return LinearSystem(operator=DenseOperator(A),
-                        rhs=rhs, tag=f"transmission-{kind}", grid=grid, meta=meta)
+    if kind == "ICFIER":
+        def represent(x):
+            # u+ = DL+ R1 - SL+ R2,  u- = DL- (g - R1) - SL- (phi - R2),
+            # (R1, R2) = R (g, phi)
+            g, phi = (unflatten_density(h) for h in np.split(x, 2))
+            r1 = apply_multiplier(reg.R11, g) + apply_multiplier(reg.R12, phi)
+            r2 = apply_multiplier(reg.R21, g) + apply_multiplier(reg.R22, phi)
+            return (_green_terms(mat_plus, grid, r1, r2, "exterior")
+                    + _green_terms(mat_minus, grid, r1 - g, r2 - phi,
+                                   "interior"))
+    else:
+        def represent(x):
+            # direct unknowns: the interior Cauchy data (gamma u-, T- u-),
+            # whose difference from the incident data is the scattered one
+            return (_green_terms(mat_plus, grid, *np.split(x - b0, 2), "exterior")
+                    + _green_terms(mat_minus, grid, *np.split(x, 2), "interior"))
+    return LinearSystem(operator=DenseOperator(A), rhs=rhs,
+                        tag=f"transmission-{kind}", grid=grid,
+                        represent=represent, meta=meta)
 
 
 def reconstruct_fields(system: LinearSystem, solution: np.ndarray) -> PotentialRepresentation:
     """Layer-potential representation of the solved (scattered/interior)
     fields; exterior terms carry region='exterior', interior 'interior'."""
-    tag, meta, grid = system.tag, system.meta, system.grid
-    x = np.asarray(solution)
-    if tag.startswith("dirichlet-") or tag.startswith("neumann-"):
-        mat = meta["material"]
-        phi = unflatten_density(x)
-        if tag == "dirichlet-CFIE":
-            terms = [PotentialTerm("DL", mat, grid, phi),
-                     PotentialTerm("SL", mat, grid, -1j * meta["eta"] * phi)]
-        elif tag == "dirichlet-CFIER":
-            rphi = apply_multiplier(meta["regularizer"], phi)
-            terms = [PotentialTerm("DL", mat, grid, phi),
-                     PotentialTerm("SL", mat, grid, -rphi)]
-        elif tag == "neumann-CFIE":
-            terms = [PotentialTerm("SL", mat, grid, -phi),
-                     PotentialTerm("DL", mat, grid, 1j * meta["eta"] * phi)]
-        elif tag == "neumann-CFIER":
-            rphi = apply_multiplier(meta["regularizer"], phi)
-            terms = [PotentialTerm("DL", mat, grid, rphi),
-                     PotentialTerm("SL", mat, grid, -phi)]
-        elif tag == "neumann-DCFIER":
-            # total-field trace g; zero total traction => u_scat = DL g
-            terms = [PotentialTerm("DL", mat, grid, phi)]
-        else:
-            raise ValueError(f"unknown formulation tag {tag!r}")
-        return PotentialRepresentation(terms=tuple(terms))
-
-    if tag.startswith("transmission-"):
-        mp, mm = meta["mat_plus"], meta["mat_minus"]
-        g, eta = (unflatten_density(h) for h in np.split(x, 2))
-        if tag in ("transmission-SC", "transmission-KR", "transmission-DCFIER"):
-            # direct unknowns: interior Cauchy data (gamma u-, T- u-)
-            gp = g - meta["inc_trace"]
-            etap = eta - meta["inc_traction"]
-            terms = [
-                PotentialTerm("DL", mp, grid, gp, region="exterior"),
-                PotentialTerm("SL", mp, grid, -etap, region="exterior"),
-                PotentialTerm("DL", mm, grid, -g, region="interior"),
-                PotentialTerm("SL", mm, grid, eta, region="interior"),
-            ]
-        elif tag == "transmission-ICFIER":
-            reg = meta["regularizer"]
-            r1 = apply_multiplier(reg.R11, g) + apply_multiplier(reg.R12, eta)
-            r2 = apply_multiplier(reg.R21, g) + apply_multiplier(reg.R22, eta)
-            terms = [
-                PotentialTerm("DL", mp, grid, r1, region="exterior"),
-                PotentialTerm("SL", mp, grid, -r2, region="exterior"),
-                PotentialTerm("DL", mm, grid, g - r1, region="interior"),
-                PotentialTerm("SL", mm, grid, -(eta - r2), region="interior"),
-            ]
-        else:
-            raise ValueError(f"unknown formulation tag {tag!r}")
-        return PotentialRepresentation(terms=tuple(terms))
-    raise ValueError(f"unknown formulation tag {tag!r}")
+    return PotentialRepresentation(terms=system.represent(np.asarray(solution)))
 
 
 def discrete_dtn_exterior(material: Material, grid,

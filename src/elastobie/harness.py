@@ -23,7 +23,7 @@ following schema; see PRESETS for complete examples.
 Formulation names by problem: manufactured V | K | W; dirichlet CFIE | CFIER;
 neumann CFIE | CFIER | DCFIER; transmission SC | KR | DCFIER | ICFIER | OS.
 A missing "coupling" uses the quasi-optimal coupling (CFIE) or the default
-complexified wavenumber rule (CFIER/OS).
+complexified wavenumber rule (CFIER/OS).  A label holds no comma or line break.
 
 Rows are deterministic given a config except for the wall-time column; set
 "timing": "none" to zero it and obtain bit-identical CSV across runs.
@@ -217,6 +217,12 @@ def run_experiment(config: dict, threads: int | None = None) -> list[ReportRow]:
     else the ELASTOBIE_THREADS environment variable, else serial); the
     report is assembled in deterministic order regardless of scheduling.
     """
+    for i, form in enumerate(config["formulations"]):
+        # emit_table writes labels unquoted; parse_table splits on these
+        label = form.get("label", "")
+        if "," in label or "".join(label.splitlines()) != label:
+            raise ValueError(f"formulations[{i}].label {label!r} holds a "
+                             "comma or a line break")
     if config.get("problem") == "manufactured":
         _check_manufactured(config)
     cells = [(case, form) for case in config.get("cases", [])

@@ -108,6 +108,7 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
     M = dirs.shape[0]
     up = np.zeros((M, 2), dtype=complex)
     us = np.zeros((M, 2), dtype=complex)
+    phases = {}  # (k, id(grid)) -> plane-wave factor, shared by the terms
     for term in terms:
         mat, grid, g = term.material, term.grid, term.density
         lam, mu = mat.lam, mat.mu
@@ -116,7 +117,9 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
         for wave in ("p", "s"):
             k = mat.kp if wave == "p" else mat.ks
             gam = gp if wave == "p" else gs
-            E = np.exp(-1j * k * (dirs @ grid.x.T))  # (M, N)
+            E = phases.get((k, id(grid)))
+            if E is None:
+                E = phases[k, id(grid)] = np.exp(-1j * k * (dirs @ grid.x.T))
             if term.layer == "SL":
                 mom = w * (E @ g)  # (M, 2)
                 if wave == "p":

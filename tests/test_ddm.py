@@ -4,7 +4,7 @@ solutions, the single-equation principal symbol, and system invertibility."""
 import numpy as np
 import pytest
 
-from elastobie import (assemble_ddm, assemble_transmission, ddm_fields,
+from elastobie import (assemble_ddm, assemble_transmission,
                        bplus_principal_symbol, eps_inf, far_field, gmres,
                        lu_solve, make_curve, make_material, plane_wave,
                        point_source, reconstruct_fields, sample_grid,
@@ -102,7 +102,7 @@ def test_ddm_far_field_matches_direct_transmission_solve(grid, mats):
     mp, mm = mats
     inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
     ddm = assemble_ddm(mp, mm, grid, incident=inc)
-    rep_ddm = ddm_fields(ddm, lu_solve(ddm.operator.matrix, ddm.rhs).x)
+    rep_ddm = reconstruct_fields(ddm, lu_solve(ddm.operator.matrix, ddm.rhs).x)
     kr = assemble_transmission("KR", mp, mm, grid, incident=inc)
     rep_kr = reconstruct_fields(kr, lu_solve(kr.operator.matrix, kr.rhs).x)
     assert eps_inf(far_field(rep_ddm), far_field(rep_kr)) < 1e-6
@@ -115,10 +115,6 @@ def test_error_paths(grid, mats):
     Up, Um = _robin_matrices(mp, mm, grid, mm.kappa)
     with pytest.raises(ValueError):
         rtr_exterior(mp, mm, grid, mm.kappa, Up, Um, variant="triple")
-    inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
-    system = assemble_transmission("KR", mp, mm, grid, incident=inc)
-    with pytest.raises(ValueError):
-        ddm_fields(system, np.zeros(system.rhs.size))
 
 
 def test_unknown_variant_fails_before_assembly(grid, mats, monkeypatch):

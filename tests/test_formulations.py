@@ -9,11 +9,11 @@ analytic point-source far field.
 import numpy as np
 import pytest
 
-from elastobie import (assemble_dirichlet, assemble_neumann,
+from elastobie import (assemble_ddm, assemble_dirichlet, assemble_neumann,
                        assemble_transmission, eps_inf, eval_potential,
                        far_field, lu_solve, make_curve, make_material,
-                       point_source, reconstruct_fields, sample_grid,
-                       trace_and_traction)
+                       plane_wave, point_source, reconstruct_fields,
+                       sample_grid, trace_and_traction)
 from elastobie.formulations import calderon_matrix, discrete_dtn_exterior
 from elastobie.harness import _point_source_far_field
 from elastobie.postprocess import default_directions
@@ -74,7 +74,6 @@ def test_neumann_dcfier_agrees_with_cfier_on_plane_wave(grid, mat):
     # reconstruction u_s = DL g assumes the incident field is regular inside
     # the obstacle, so the oracle is a plane wave cross-checked against the
     # indirect CFIER solve rather than the interior-source trick above.
-    from elastobie import plane_wave
     inc = plane_wave(mat, [0.0, -1.0], [0.0, -1.0])
     ffs = []
     for kind in ("CFIER", "DCFIER"):
@@ -116,7 +115,6 @@ def test_transmission_formulations_agree_on_plane_wave(grid):
     # far fields and interior fields must agree pairwise.
     mp = make_material(lam=1.0, mu=1.0, omega=OMEGA)
     mm = make_material(lam=2.0, mu=8.0, omega=OMEGA)
-    from elastobie import plane_wave
     inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
     pts = np.array([[0.2, 0.1], [-0.3, -0.1]])
     ffs, interiors = [], []
@@ -193,3 +191,44 @@ def test_unknown_transmission_formulation_fails_before_assembly(grid, mat, monke
         assemble_transmission("XX", mat, mat, grid,
                               cauchy_data=(np.zeros((grid.size, 2)),
                                            np.zeros((grid.size, 2))))
+
+
+def _kind_system(kind, variant, mp, mm, grid, inc):
+    if kind == "dirichlet":
+        return assemble_dirichlet(variant, mp, grid, incident=inc)
+    if kind == "neumann":
+        return assemble_neumann(variant, mp, grid, incident=inc)
+    if kind == "transmission":
+        return assemble_transmission(variant, mp, mm, grid, incident=inc)
+    return assemble_ddm(mp, mm, grid, incident=inc, variant=variant)
+
+
+@pytest.mark.parametrize("kind,variant", [
+    ("dirichlet", "CFIE"), ("dirichlet", "CFIER"),
+    ("neumann", "CFIE"), ("neumann", "CFIER"), ("neumann", "DCFIER"),
+    ("transmission", "SC"), ("transmission", "KR"),
+    ("transmission", "DCFIER"), ("transmission", "ICFIER"),
+    ("ddm", "plain"), ("ddm", "eps"), ("ddm", "single")])
+def test_every_system_reconstructs_its_documented_terms(kind, variant):
+    grid = sample_grid(make_curve("circle"), 8)
+    mp = make_material(lam=1.0, mu=1.0, omega=OMEGA)
+    mm = make_material(lam=2.0, mu=8.0, omega=OMEGA)
+    inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
+    system = _kind_system(kind, variant, mp, mm, grid, inc)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(system.rhs.size) + 1j * rng.standard_normal(system.rhs.size)
+    rep = reconstruct_fields(system, x)
+    if kind in ("dirichlet", "neumann"):
+        expected = [("DL", mp, "exterior"), ("SL", mp, "exterior")]
+        if variant == "DCFIER":
+            expected = expected[:1]
+    else:
+        expected = [("DL", mp, "exterior"), ("SL", mp, "exterior"),
+                    ("DL", mm, "interior"), ("SL", mm, "interior")]
+    got = sorted(((t.layer, t.material, t.region) for t in rep.terms),
+                 key=lambda term: (term[2], term[0]))
+    assert got == expected
+    for term in rep.terms:
+        assert term.grid is grid
+        assert term.density.shape == (grid.size, 2)
+        assert np.isfinite(term.density).all()

@@ -162,6 +162,17 @@ def test_unknown_manufactured_formulation_fails_early(monkeypatch):
         run_experiment(config)
 
 
+@pytest.mark.parametrize("label", ["CFIE(eta=1,tuned)", "CFIE\nx", "CFIER\r"])
+def test_label_the_csv_cannot_hold_fails_early(monkeypatch, label):
+    monkeypatch.setattr("elastobie.harness.boundary_operators", _no_assembly)
+    monkeypatch.setattr("elastobie.formulations.boundary_operators",
+                        _no_assembly)
+    config = dict(SMOKE, formulations=[{"name": "CFIER"},
+                                       {"name": "CFIE", "label": label}])
+    with pytest.raises(ValueError, match=r"formulations\[1\]\.label"):
+        run_experiment(config)
+
+
 def test_nonconvergence_is_flagged():
     config = dict(SMOKE, solver={"tol": 1e-8, "maxiter": 2})
     (row,) = run_experiment(config)
@@ -178,8 +189,7 @@ def test_cli_run_and_preset(tmp_path):
     rows = parse_table(out.read_text())
     assert len(rows) == 1 and rows[0].formulation == "CFIER"
     # stdout mode, aligned format
-    res = runner.invoke(main, ["run", "--config", str(cfg),
-                               "--format", "aligned-text"])
+    res = runner.invoke(main, ["run", str(cfg), "--format", "aligned-text"])
     assert res.exit_code == 0
     assert res.output.startswith("# table: smoke")
     # preset listing and error paths

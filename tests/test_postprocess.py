@@ -69,3 +69,27 @@ def test_eps_inf_is_zero_on_identical_fields(setup):
     *_, rep = setup
     ff = far_field(rep)
     assert eps_inf(ff, ff) == 0.0
+
+
+def test_far_field_is_the_in_order_sum_of_its_terms():
+    # Terms on two grids of one size and of two materials: the plane-wave
+    # factor shared within a call must be the one of each term's wavenumber
+    # and grid.
+    rng = np.random.default_rng(3)
+    grids = [sample_grid(make_curve(kind), 16) for kind in ("circle", "starfish")]
+    mats = [make_material(lam=2.0, mu=1.0, omega=4.0),
+            make_material(lam=1.0, mu=3.0, omega=4.0)]
+    terms = tuple(
+        PotentialTerm(layer, mat, grid,
+                      rng.standard_normal((16 * 2, 2))
+                      + 1j * rng.standard_normal((16 * 2, 2)))
+        for mat in mats for grid in grids for layer in ("DL", "SL"))
+    ff = far_field(PotentialRepresentation(terms=terms))
+    up = np.zeros_like(ff.up)
+    us = np.zeros_like(ff.us)
+    for term in terms:
+        one = far_field(PotentialRepresentation(terms=(term,)))
+        up += one.up
+        us += one.us
+    assert np.array_equal(ff.up, up)
+    assert np.array_equal(ff.us, us)
