@@ -104,9 +104,7 @@ def _selftest_checks():
         Cp = _calderon_symbol(mp, kap, 24)
         Cm = _calderon_symbol(mm, kap, 24)
         for idx in (0, 5, 24, 40):
-            R4 = np.block([[reg.R11.values[idx], reg.R12.values[idx]],
-                           [reg.R21.values[idx], reg.R22.values[idx]]])
-            lhs = (Cp[idx] + Cm[idx]) @ R4
+            lhs = (Cp[idx] + Cm[idx]) @ reg.R.values[idx]
             rhs = 0.5 * np.eye(4) + Cm[idx]
             if not np.allclose(lhs, rhs, atol=1e-13):
                 return False

@@ -75,42 +75,46 @@ class RtRMap:
     meta: dict = field(default_factory=dict, repr=False)  # "bplus" if single
 
 
-def _robin_matrices(mat_plus: Material, mat_minus: Material, grid,
-                    kappa: complex):
-    ups_plus, ups_minus = transmission_operators(mat_plus, mat_minus, kappa,
-                                                 n_max=grid.n)
-    return symbol_matrix(ups_plus, grid.n), symbol_matrix(ups_minus, grid.n)
-
-
-def rtr_interior(mat_minus: Material, grid, ups_plus_mat: np.ndarray,
-                 ups_minus_mat: np.ndarray) -> RtRMap:
+def rtr_interior(mat_minus: Material, grid, ups_plus: Symbol,
+                 ups_minus: Symbol) -> RtRMap:
     """Interior RtR map S_- from a direct Calderon + Robin-row solve."""
     ops = boundary_operators(mat_minus, grid)
     L = 2 * grid.size
     I = np.eye(L, dtype=complex)
     A = np.block([
         [-0.5 * I - ops["K"], ops["V"]],
-        [ops["W"] - ups_minus_mat, -0.5 * I - ops["Kt"]],
+        [ops["W"] - symbol_matrix(ups_minus, grid.n), -0.5 * I - ops["Kt"]],
     ])
     rhs = np.zeros((2 * L, L), dtype=complex)
     rhs[L:] = -I
     X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
-    S = ups_plus_mat @ X[:L] + X[L:]
-    return RtRMap(matrix=S, data_map=X)
+    return RtRMap(matrix=ups_plus @ X[:L] + X[L:], data_map=X)
 
 
 def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
-                 kappa: complex, ups_plus_mat: np.ndarray,
-                 ups_minus_mat: np.ndarray, variant: str = "plain",
-                 eps: float = 0.1) -> RtRMap:
+                 kappa: complex, ups_plus: Symbol, ups_minus: Symbol,
+                 variant: str = "plain", eps: float = 0.1) -> RtRMap:
     """Exterior RtR map S_+; variants 'plain', 'eps', 'single'."""
+    if variant not in ("plain", "eps", "single"):
+        raise ValueError(f"unknown exterior RtR variant {variant!r}")
+    ops = boundary_operators(mat_plus, grid)
     L = 2 * grid.size
     I = np.eye(L, dtype=complex)
-    if variant in ("plain", "eps"):
-        ops = boundary_operators(mat_plus, grid)
+    meta = {}
+    if variant == "single":
+        ps_p = ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=grid.n)
+        ps_m = ps_dtn(mat_minus, "interior", kappa=kappa, n_max=grid.n)
+        Ros = (ps_p - ps_m).inv()
+        trace_map = (0.5 * I + ops["K"] - ops["V"] @ ps_p) @ Ros
+        traction_map = (ops["W"] + (0.5 * I - ops["Kt"]) @ ps_p) @ Ros
+        B = traction_map + ups_plus @ trace_map
+        X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), I)
+        X = np.vstack([trace_map @ X, traction_map @ X])
+        meta["bplus"] = B
+    else:
         A = np.block([
             [0.5 * I - ops["K"], ops["V"]],
-            [ops["W"] + ups_plus_mat, 0.5 * I - ops["Kt"]],
+            [ops["W"] + symbol_matrix(ups_plus, grid.n), 0.5 * I - ops["Kt"]],
         ])
         rhs = np.zeros((2 * L, L), dtype=complex)
         rhs[L:] = I
@@ -118,27 +122,12 @@ def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
             H = make_symbol("H", n_max=grid.n)
             Lk = make_symbol("LambdaKappa", kappa=kappa, n_max=grid.n)
             bracket = 0.5 * identity_symbol(grid.n) - mat_minus.alpha * H
-            vt = symbol_matrix(mat_minus.beta * (Lk @ bracket), grid.n)
-            A[:L, :L] += eps * (vt @ ups_plus_mat)
-            A[:L, L:] += eps * vt
-            rhs[:L] = eps * vt
+            vt = eps * symbol_matrix(mat_minus.beta * (Lk @ bracket), grid.n)
+            A[:L, :L] += vt @ ups_plus
+            A[:L, L:] += vt
+            rhs[:L] = vt
         X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
-        S = ups_minus_mat @ X[:L] + X[L:]
-        return RtRMap(matrix=S, data_map=X)
-    if variant == "single":
-        ops = boundary_operators(mat_plus, grid)
-        ps_p = ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=grid.n)
-        ps_m = ps_dtn(mat_minus, "interior", kappa=kappa, n_max=grid.n)
-        Pp = symbol_matrix(ps_p, grid.n)
-        Ros = symbol_matrix((ps_p - ps_m).inv(), grid.n)
-        trace_map = (0.5 * I + ops["K"] - ops["V"] @ Pp) @ Ros
-        traction_map = (ops["W"] + (0.5 * I - ops["Kt"]) @ Pp) @ Ros
-        B = traction_map + ups_plus_mat @ trace_map
-        X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), I)
-        data_map = np.vstack([trace_map @ X, traction_map @ X])
-        S = traction_map @ X + ups_minus_mat @ (trace_map @ X)
-        return RtRMap(matrix=S, data_map=data_map, meta={"bplus": B})
-    raise ValueError(f"unknown exterior RtR variant {variant!r}")
+    return RtRMap(matrix=ups_minus @ X[:L] + X[L:], data_map=X, meta=meta)
 
 
 def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
@@ -156,7 +145,7 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     kappa = complex(kappa) if kappa is not None else mat_minus.kappa
     inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident,
                                                     cauchy_data)
-    Up, Um = _robin_matrices(mat_plus, mat_minus, grid, kappa)
+    Up, Um = transmission_operators(mat_plus, mat_minus, kappa, n_max=grid.n)
     S_minus = rtr_interior(mat_minus, grid, Up, Um)
     S_plus = rtr_exterior(mat_plus, mat_minus, grid, kappa, Up, Um,
                           variant=variant, eps=eps)
@@ -174,9 +163,8 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
         plus, minus = plus_map @ x[:L], minus_map @ x[L:]
         return (_green_terms(mat_plus, grid, *np.split(plus, 2), "exterior")
                 + _green_terms(mat_minus, grid, *np.split(minus, 2), "interior"))
-    return LinearSystem(operator=DenseOperator(M), rhs=rhs,
-                        tag="transmission-DDM", grid=grid, represent=represent,
-                        meta={"kappa": kappa, "variant": variant})
+    return LinearSystem(operator=DenseOperator(M), rhs=rhs, grid=grid,
+                        represent=represent)
 
 
 def bplus_principal_symbol(mat_plus: Material, mat_minus: Material,

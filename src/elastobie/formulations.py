@@ -38,8 +38,7 @@ import numpy as np
 
 from .kernels import _kernel_splits
 from .materials import Material, trace_and_traction
-from .multipliers import (make_transmission_regularizer, ps_dtn,
-                          symbol_matrix, symbol_transpose, apply_multiplier)
+from .multipliers import make_transmission_regularizer, ps_dtn
 from .quadrature import (assemble_bio, build_quadrature, flatten_density,
                          unflatten_density)
 
@@ -69,12 +68,10 @@ class DenseOperator:
 class LinearSystem:
     """Dense system A x = b; represent maps a solution x to the tuple of
     PotentialTerms of its fields (reconstruct_fields wraps it).  meta holds
-    the parameters used (eta, kappa, variant) and a one-material system's
-    material."""
+    a one-material system's material."""
 
     operator: DenseOperator
     rhs: np.ndarray = field(repr=False)
-    tag: str
     grid: object = field(repr=False)
     represent: Callable = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
@@ -162,22 +159,18 @@ def assemble_dirichlet(kind: str, material: Material, grid,
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
         A = 0.5 * _eye(2 * N) + ops["K"] - 1j * eta * ops["V"]
-        meta = {"eta": eta, "material": material}
 
         def represent(x):  # u = DL phi - i eta SL phi
             return _green_terms(material, grid, x, 1j * eta * x, "exterior")
     else:  # CFIER
         kappa = material.kappa if coupling is None else complex(coupling)
         reg = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n)
-        A = 0.5 * _eye(2 * N) + ops["K"] - ops["V"] @ symbol_matrix(reg, grid.n)
-        meta = {"kappa": kappa, "material": material}
+        A = 0.5 * _eye(2 * N) + ops["K"] - ops["V"] @ reg
 
         def represent(x):  # u = DL phi - SL R^D phi
-            return _green_terms(material, grid, x, apply_multiplier(
-                reg, unflatten_density(x)), "exterior")
-    return LinearSystem(operator=DenseOperator(A), rhs=rhs,
-                        tag=f"dirichlet-{kind}", grid=grid,
-                        represent=represent, meta=meta)
+            return _green_terms(material, grid, x, reg @ x, "exterior")
+    return LinearSystem(operator=DenseOperator(A), rhs=rhs, grid=grid,
+                        represent=represent, meta={"material": material})
 
 
 def assemble_neumann(kind: str, material: Material, grid,
@@ -202,51 +195,34 @@ def assemble_neumann(kind: str, material: Material, grid,
             raise ValueError("CFIE coupling eta must be nonzero")
         ops = boundary_operators(material, grid, tags=("Kt", "W"))
         A = 0.5 * _eye(2 * N) - ops["Kt"] + 1j * eta * ops["W"]
-        meta = {"eta": eta, "material": material}
 
         def represent(x):  # u = i eta DL phi - SL phi
             return _green_terms(material, grid, 1j * eta * x, x, "exterior")
     else:
         kappa = material.kappa if coupling is None else complex(coupling)
         regN = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n).inv()
-        Rm = symbol_matrix(regN, grid.n)
-        meta = {"kappa": kappa, "material": material}
         if kind == "CFIER":
             ops = boundary_operators(material, grid, tags=("Kt", "W"))
-            A = 0.5 * _eye(2 * N) - ops["Kt"] + ops["W"] @ Rm
+            A = 0.5 * _eye(2 * N) - ops["Kt"] + ops["W"] @ regN
 
             def represent(x):  # u = DL R^N phi - SL phi
-                return _green_terms(material, grid, apply_multiplier(
-                    regN, unflatten_density(x)), x, "exterior")
+                return _green_terms(material, grid, regN @ x, x, "exterior")
         else:  # DCFIER: direct regularized system on the total-field trace
             if inc_cd is not None:
                 rhs = (flatten_density(inc_cd.trace)
-                       - Rm @ flatten_density(inc_cd.traction))
+                       - regN @ flatten_density(inc_cd.traction))
             elif trace_data is not None:
                 rhs = flatten_density(np.asarray(trace_data, dtype=complex))
             else:
                 raise ValueError("DCFIER needs the incident field (or trace data)")
             ops = boundary_operators(material, grid, tags=("K", "W"))
-            A = 0.5 * _eye(2 * N) - ops["K"] + Rm @ ops["W"]
+            A = 0.5 * _eye(2 * N) - ops["K"] + regN @ ops["W"]
 
             def represent(x):  # zero total traction => u_scat = DL g
                 return (PotentialTerm("DL", material, grid,
                                       unflatten_density(x)),)
-    return LinearSystem(operator=DenseOperator(A), rhs=rhs,
-                        tag=f"neumann-{kind}", grid=grid,
-                        represent=represent, meta=meta)
-
-
-def _regularizer_matrix(reg, n: int, transpose: bool = False):
-    """Dense 8n x 8n realization of R_kappa or, with `transpose`, of its
-    block transpose R^T = [[R22^T, -R12^T], [-R21^T, R11^T]] (multiplier
-    transposes)."""
-    m = {k: symbol_matrix(symbol_transpose(getattr(reg, k)) if transpose
-                          else getattr(reg, k), n)
-         for k in ("R11", "R12", "R21", "R22")}
-    if transpose:
-        return np.block([[m["R22"], -m["R12"]], [-m["R21"], m["R11"]]])
-    return np.block([[m["R11"], m["R12"]], [m["R21"], m["R22"]]])
+    return LinearSystem(operator=DenseOperator(A), rhs=rhs, grid=grid,
+                        represent=represent, meta={"material": material})
 
 
 def _incident_cauchy_data(mat_plus: Material, grid, incident, cauchy_data):
@@ -281,7 +257,6 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
     diag = np.diag_indices_from(Cp)
     b0 = np.concatenate([flatten_density(inc_trace),
                          flatten_density(inc_traction)])
-    meta = {}
     rhs = b0
     if kind == "KR":
         # RHS carries no factor 2: applying (I + C- - C+) to the interior
@@ -301,18 +276,16 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
             # shared.
             reg = make_transmission_regularizer(mat_plus, mat_minus, kappa,
                                                 n_max=grid.n)
-            meta["kappa"] = reg.kappa
             if kind == "DCFIER":
                 # 1/2 I + C- - R^T (C+ + C-)
-                Rt = _regularizer_matrix(reg, grid.n, transpose=True)
-                A = np.subtract(Cm, Rt @ S, out=Cm)
-                rhs = Rt @ b0
+                A = np.subtract(Cm, reg.RT @ S, out=Cm)
+                rhs = reg.RT @ b0
             else:
                 # 1/2 I - C- + (C+ + C-) R.  The indirect reconstruction's
                 # Cauchy-data jumps equal +L_ind (g, phi); matching the
                 # physical jumps -(incident data) requires the negated RHS
                 # (verified against the direct solves).
-                A = S @ _regularizer_matrix(reg, grid.n)
+                A = S @ reg.R
                 A -= Cm
                 rhs = -b0
             A[diag] += 0.5
@@ -320,9 +293,8 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
         def represent(x):
             # u+ = DL+ R1 - SL+ R2,  u- = DL- (g - R1) - SL- (phi - R2),
             # (R1, R2) = R (g, phi)
-            g, phi = (unflatten_density(h) for h in np.split(x, 2))
-            r1 = apply_multiplier(reg.R11, g) + apply_multiplier(reg.R12, phi)
-            r2 = apply_multiplier(reg.R21, g) + apply_multiplier(reg.R22, phi)
+            g, phi = np.split(x, 2)
+            r1, r2 = np.split(reg.R @ x, 2)
             return (_green_terms(mat_plus, grid, r1, r2, "exterior")
                     + _green_terms(mat_minus, grid, r1 - g, r2 - phi,
                                    "interior"))
@@ -332,9 +304,8 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
             # whose difference from the incident data is the scattered one
             return (_green_terms(mat_plus, grid, *np.split(x - b0, 2), "exterior")
                     + _green_terms(mat_minus, grid, *np.split(x, 2), "interior"))
-    return LinearSystem(operator=DenseOperator(A), rhs=rhs,
-                        tag=f"transmission-{kind}", grid=grid,
-                        represent=represent, meta=meta)
+    return LinearSystem(operator=DenseOperator(A), rhs=rhs, grid=grid,
+                        represent=represent)
 
 
 def reconstruct_fields(system: LinearSystem, solution: np.ndarray) -> PotentialRepresentation:

@@ -24,6 +24,9 @@ Formulation names by problem: manufactured V | K | W; dirichlet CFIE | CFIER;
 neumann CFIE | CFIER | DCFIER; transmission SC | KR | DCFIER | ICFIER | OS.
 A missing "coupling" uses the quasi-optimal coupling (CFIE) or the default
 complexified wavenumber rule (CFIER/OS).  A label holds no comma or line break.
+run_experiment rejects a config that lacks a required field (every key above
+but "table", "solver", "timing" and "output"; "interior" for transmission
+only) before any cell runs, naming the field.
 
 Rows are deterministic given a config except for the wall-time column; set
 "timing": "none" to zero it and obtain bit-identical CSV across runs.
@@ -96,6 +99,40 @@ def _make_incident(spec: dict, material):
                             np.asarray(spec["location"], dtype=float),
                             np.asarray(spec["polarization"], dtype=float))
     raise ValueError(f"unknown incidence type {kind!r}")
+
+
+def _check_config(config: dict) -> None:
+    """Reject, before any work, a config that lacks a field the schema
+    requires or holds a label the CSV cannot hold; name the field."""
+    required = ["problem", "geometry.kind", "materials.exterior", "incidence",
+                "formulations"]
+    if config.get("problem") == "transmission":
+        required.append("materials.interior")
+    incidence = config.get("incidence")
+    if isinstance(incidence, dict):
+        required += (["incidence.location", "incidence.polarization"]
+                     if incidence.get("type") == "point_source"
+                     else ["incidence.direction"])
+    for path in required:
+        node = config
+        for key in path.split("."):
+            if not isinstance(node, dict) or key not in node:
+                raise ValueError(f"config lacks the required field {path!r}")
+            node = node[key]
+    for i, case in enumerate(config.get("cases", [])):
+        for key in ("omega", "n"):
+            if key not in case:
+                raise ValueError(f"config lacks the required field "
+                                 f"'cases[{i}].{key}'")
+    for i, form in enumerate(config["formulations"]):
+        if "name" not in form:
+            raise ValueError(f"config lacks the required field "
+                             f"'formulations[{i}].name'")
+        # emit_table writes labels unquoted; parse_table splits on these
+        label = form.get("label", "")
+        if "," in label or "".join(label.splitlines()) != label:
+            raise ValueError(f"formulations[{i}].label {label!r} holds a "
+                             "comma or a line break")
 
 
 # The layer potential each manufactured column (V, K or W) represents.
@@ -217,13 +254,8 @@ def run_experiment(config: dict, threads: int | None = None) -> list[ReportRow]:
     else the ELASTOBIE_THREADS environment variable, else serial); the
     report is assembled in deterministic order regardless of scheduling.
     """
-    for i, form in enumerate(config["formulations"]):
-        # emit_table writes labels unquoted; parse_table splits on these
-        label = form.get("label", "")
-        if "," in label or "".join(label.splitlines()) != label:
-            raise ValueError(f"formulations[{i}].label {label!r} holds a "
-                             "comma or a line break")
-    if config.get("problem") == "manufactured":
+    _check_config(config)
+    if config["problem"] == "manufactured":
         _check_manufactured(config)
     cells = [(case, form) for case in config.get("cases", [])
              for form in config["formulations"]]

@@ -1,7 +1,8 @@
 """Periodic Fourier-multiplier calculus on 2-component densities.
 
-Symbols are per-mode 2x2 matrices M(n) for n = -n_max .. n_max.  The scalar
-building blocks are
+Symbols are per-mode d x d matrices M(n) for n = -n_max .. n_max, with
+d = 2 for multipliers on one density and d = 4 for multipliers on Cauchy
+data.  The scalar building blocks are
 
 * Lambda^{-1}   : 1 at n = 0, |n| otherwise;
 * H             : sign(n), with +1 at n = 0;
@@ -14,10 +15,19 @@ The matrix operator bold-H acts per mode as H(n) J with J = [[0,-1],[1,0]],
 so bold-H^2 = -I exactly.  From these we build the principal-symbol
 Dirichlet-to-Neumann maps, the transmission regularizer R_kappa, and the
 generalized-Robin transmission operators Upsilon_+/-.
+
+A Symbol is an operator on the nodal values of the uniform 2n-point grid:
+`sym @ x` applies it to the rows of x and `A @ sym` to the columns of A, so
+`A @ sym` is A times the multiplier's matrix (symbol_matrix) without forming
+it.  Rows are laid out as in the systems: a 2x2 symbol acts on interleaved
+nodal 2-vectors (x_0, y_0, x_1, y_1, ...), a 4x4 symbol on stacked Cauchy
+data (the 2N trace rows, then the 2N traction rows).  Both products are
+FFTs over the nodes (apply_multiplier); x may be a vector or a matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,22 +51,38 @@ _SCALAR_KINDS = ("LambdaInv", "H", "LambdaKappa", "LambdaKappaInv")
 
 @dataclass(frozen=True)
 class Symbol:
-    """Per-mode 2x2 multiplier: values[n + n_max] is the matrix at mode n."""
+    """Per-mode d x d multiplier: values[n + n_max] is the matrix at mode n.
+
+    sym @ sym2 is the per-mode product; sym @ x and A @ sym apply the
+    multiplier to arrays (see the module docstring).
+    """
 
     n_max: int
-    values: np.ndarray = field(repr=False)  # (2 n_max + 1, 2, 2) complex
+    values: np.ndarray = field(repr=False)  # (2 n_max + 1, d, d) complex
+
+    __array_ufunc__ = None  # ndarray @ Symbol defers to __rmatmul__
 
     def at(self, n: int) -> np.ndarray:
-        """The 2x2 matrix acting on Fourier mode n."""
+        """The d x d matrix acting on Fourier mode n."""
         if abs(n) > self.n_max:
             raise ValueError(f"mode {n} outside n_max={self.n_max}")
         return self.values[n + self.n_max]
 
-    # -- algebra on symbols (per-mode matrix operations) --------------------
-    def __matmul__(self, other: "Symbol") -> "Symbol":
+    def __matmul__(self, other):
+        if not isinstance(other, Symbol):
+            return apply_multiplier(self, other)
         _check_same(self, other)
         return Symbol(self.n_max, self.values @ other.values)
 
+    def __rmatmul__(self, other):
+        # x M = conj(M^H conj(x)) vector by vector.  The adjoint acts at the
+        # same modes, so the grid's Nyquist mode keeps the symbol value that
+        # symbol_matrix gives it (M(-n)^T per mode would not).
+        adjoint = Symbol(self.n_max, self.values.conj().swapaxes(1, 2).copy())
+        out = apply_multiplier(adjoint, np.conjugate(other), axis=-1)
+        return np.conjugate(out, out=out)
+
+    # -- algebra on symbols (per-mode matrix operations) --------------------
     def __add__(self, other: "Symbol") -> "Symbol":
         _check_same(self, other)
         return Symbol(self.n_max, self.values + other.values)
@@ -124,23 +150,33 @@ def _modes_for(N: int) -> np.ndarray:
     return np.fft.fftfreq(N, d=1.0 / N).astype(int)
 
 
-def apply_multiplier(symbol: Symbol, density: np.ndarray) -> np.ndarray:
-    """Apply the multiplier to a (N, 2) nodal density on the uniform grid.
+def apply_multiplier(symbol: Symbol, x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Apply the multiplier to every vector of x that runs along `axis`.
 
-    Forward FFT per component, per-mode 2x2 multiply, inverse FFT.  Exact on
-    band-limited densities up to roundoff.
+    A d x d symbol reads each vector as d/2 stacked blocks of interleaved
+    nodal 2-vectors on the N-point grid (length d N; see the module
+    docstring).  Forward FFT over the nodes, per-mode d x d multiply,
+    inverse FFT.  Exact on band-limited densities up to roundoff.  The
+    result has the shape of x and, for C-ordered x, its memory order.
     """
-    density = np.asarray(density)
-    if density.ndim != 2 or density.shape[1] != 2:
-        raise ValueError("density must have shape (N, 2)")
-    N = density.shape[0]
+    x = np.asarray(x)
+    axis = range(x.ndim)[axis]
+    d = symbol.values.shape[-1]
+    N, rest = divmod(x.shape[axis], d)
+    if rest or N == 0:
+        raise ValueError(f"axis {axis} of length {x.shape[axis]} does not hold "
+                         f"{d} values per node")
     modes = _modes_for(N)
     if np.abs(modes).max() > symbol.n_max:
         raise ValueError("grid Nyquist mode exceeds symbol n_max")
-    fhat = np.fft.fft(density, axis=0)  # (N, 2)
-    M = symbol.values[modes + symbol.n_max]  # (N, 2, 2)
-    ghat = np.einsum("nij,nj->ni", M, fhat)
-    return np.fft.ifft(ghat, axis=0)
+    lanes = x.reshape(math.prod(x.shape[:axis]), d // 2, N, 2, -1)
+    fhat = np.fft.fft(lanes, axis=2)
+    M = symbol.values[modes + symbol.n_max].reshape(N, d // 2, 2, d // 2, 2)
+    step = -(-N // 8)  # in place, by eighths: 1/8 of fhat more memory
+    for k in range(0, N, step):
+        m = slice(k, k + step)
+        fhat[:, :, m] = np.einsum("kpaqb,iqkbj->ipkaj", M[m], fhat[:, :, m])
+    return np.fft.ifft(fhat, axis=2, out=fhat).reshape(x.shape)
 
 
 def symbol_matrix(symbol: Symbol, n: int) -> np.ndarray:
@@ -162,7 +198,8 @@ def symbol_matrix(symbol: Symbol, n: int) -> np.ndarray:
 
 
 def symbol_transpose(symbol: Symbol) -> Symbol:
-    """Transpose of the multiplier operator: M(n) -> M(-n)^T per mode."""
+    """Transposed multiplier symbol: M(n) -> M(-n)^T per mode (the transpose
+    of the multiplier except at a grid's Nyquist mode)."""
     values = np.transpose(symbol.values[::-1], (0, 2, 1)).copy()
     return Symbol(n_max=symbol.n_max, values=values)
 
@@ -186,16 +223,24 @@ def ps_dtn(material, side: str, kappa: complex | None = None,
     return (sgn / material.beta) * (lam_inv @ inner)
 
 
+# P = [[0, I], [-I, 0]] on Cauchy data: P X P^T = [[X22, -X21], [-X12, X11]]
+_P = np.kron([[0.0, 1.0], [-1.0, 0.0]], _I2)
+
+
 @dataclass(frozen=True)
 class TransmissionRegularizer:
-    """Blocks of R_kappa = (1/rho)(C+^k + C-^k)(1/2 I + C-^k) per mode."""
+    """R_kappa = (1/rho)(C+^k + C-^k)(1/2 I + C-^k) as a 4x4 symbol on
+    Cauchy data, with blocks R = [[R11, R12], [R21, R22]]."""
 
-    R11: Symbol
-    R12: Symbol
-    R21: Symbol
-    R22: Symbol
+    R: Symbol
     rho: float
     kappa: tuple  # (kappa_plus, kappa_minus) used in (C+, C-)
+
+    @property
+    def RT(self) -> Symbol:
+        """Block transpose [[R22^T, -R12^T], [-R21^T, R11^T]] of R, with
+        multiplier transposes: P R(-n)^T P^T per mode."""
+        return Symbol(self.R.n_max, _P @ symbol_transpose(self.R).values @ _P.T)
 
 
 def _calderon_symbol(material, kappa: complex, n_max: int) -> np.ndarray:
@@ -260,14 +305,8 @@ def make_transmission_regularizer(mat_plus, mat_minus, kappa=None,
         probe = S[n_max + 1] @ S[n_max + 1]
         if not np.allclose(probe, rho * np.eye(4), atol=1e-11 * max(1.0, rho)):
             raise AssertionError("(C+ + C-)^2 = rho I failed at mode 1")
-    R = (S @ (0.5 * np.eye(4) + Cm)) / rho  # (m, 4, 4)
-
-    def block(i, j):
-        return Symbol(n_max, R[:, 2 * i:2 * i + 2, 2 * j:2 * j + 2].copy())
-
-    return TransmissionRegularizer(R11=block(0, 0), R12=block(0, 1),
-                                   R21=block(1, 0), R22=block(1, 1),
-                                   rho=rho, kappa=(kap_p, kap_m))
+    R = Symbol(n_max, (S @ (0.5 * np.eye(4) + Cm)) / rho)
+    return TransmissionRegularizer(R=R, rho=rho, kappa=(kap_p, kap_m))
 
 
 def transmission_operators(mat_plus, mat_minus, kappa: complex,

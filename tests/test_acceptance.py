@@ -18,11 +18,11 @@ from elastobie import (assemble_ddm, assemble_dirichlet, assemble_transmission,
                        bplus_principal_symbol, eps_inf, far_field,
                        gmres, lu_solve, make_curve, make_material, make_symbol,
                        plane_wave, reconstruct_fields, sample_grid)
-from elastobie.ddm import _robin_matrices, rtr_exterior, rtr_interior
+from elastobie.ddm import rtr_exterior, rtr_interior
 from elastobie.formulations import (boundary_operators, calderon_matrix,
                                     discrete_dtn_exterior)
 from elastobie.harness import PRESETS, run_experiment
-from elastobie.multipliers import (_calderon_symbol,
+from elastobie.multipliers import (Symbol, _calderon_symbol,
                                    make_transmission_regularizer, ps_dtn,
                                    rho_constant, symbol_matrix,
                                    transmission_operators)
@@ -68,14 +68,25 @@ TARGETS_DIRICHLET = {
     (40.0, 256): (97, 28, 38),
 }
 
+# The counts this code gives.  A refactor keeps every one of them; the
+# published targets above bound them only to within 20%.
+PINNED_DIRICHLET = {
+    (10.0, 64): (30, 21, 20),
+    (20.0, 128): (49, 26, 28),
+    (40.0, 256): (93, 27, 31),
+}
+
 
 def test_criterion_02_dirichlet_circle_counts():
     rows = run_experiment(PRESETS["dirichlet-circle"])
     got = _counts(rows)
-    for (omega, n), (t1, t2, t3) in TARGETS_DIRICHLET.items():
-        assert _within(got[(omega, n, "CFIE(eta=1)")], t1), (omega, t1, got)
-        assert _within(got[(omega, n, "CFIE(eta-opt)")], t2), (omega, t2, got)
-        assert _within(got[(omega, n, "CFIER")], t3), (omega, t3, got)
+    labels = ("CFIE(eta=1)", "CFIE(eta-opt)", "CFIER")
+    for (omega, n), targets in TARGETS_DIRICHLET.items():
+        for label, target, pinned in zip(labels, targets,
+                                         PINNED_DIRICHLET[(omega, n)]):
+            assert _within(got[(omega, n, label)], target), \
+                (omega, label, target, got)
+            assert got[(omega, n, label)] == pinned, (omega, label, got)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +100,11 @@ def test_criterion_03_neumann_refinement_contrast():
                                  "label": "CFIE(eta=1)"},
                                 {"name": "CFIER", "label": "CFIER"}])
     got = _counts(run_experiment(config))
+    pinned = {"CFIE(eta=1)": (102, 136, 196, 266), "CFIER": (37, 37, 49, 49)}
+    cases = ((10.0, 64), (10.0, 128), (20.0, 128), (20.0, 256))
+    for label, counts in pinned.items():
+        assert [got[(omega, n, label)] for omega, n in cases] \
+            == list(counts), (label, got)
     for omega, n_coarse, n_fine in ((10.0, 64, 128), (20.0, 128, 256)):
         coarse = got[(omega, n_coarse, "CFIER")]
         fine = got[(omega, n_fine, "CFIER")]
@@ -107,6 +123,11 @@ TARGETS_TRANSMISSION = {
     (20.0, 256): {"KR": 146, "CFIER": 72, "OS": 36},
 }
 
+PINNED_TRANSMISSION = {
+    (10.0, 128): {"KR": 72, "CFIER": 43, "OS": 27},
+    (20.0, 256): {"KR": 130, "CFIER": 58, "OS": 38},
+}
+
 
 def test_criterion_04_transmission_starfish_counts():
     got = _counts(run_experiment(PRESETS["transmission-starfish"]))
@@ -114,6 +135,8 @@ def test_criterion_04_transmission_starfish_counts():
         for label, target in targets.items():
             assert _within(got[(omega, n, label)], target), \
                 (omega, label, target, got)
+            assert got[(omega, n, label)] \
+                == PINNED_TRANSMISSION[(omega, n)][label], (omega, label, got)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +162,7 @@ def test_criterion_05_symbol_identities():
     cp = _calderon_symbol(mp, kappa, 48)
     cm = _calderon_symbol(mm, kappa, 48)
     for idx in range(97):
-        R = np.block([[reg.R11.values[idx], reg.R12.values[idx]],
-                      [reg.R21.values[idx], reg.R22.values[idx]]])
-        lhs = (cp[idx] + cm[idx]) @ R
+        lhs = (cp[idx] + cm[idx]) @ reg.R.values[idx]
         assert np.abs(lhs - (0.5 * np.eye(4) + cm[idx])).max() <= 1e-13
 
     bsym = bplus_principal_symbol(mp, mm, kappa, n_max=48)
@@ -305,10 +326,9 @@ def test_criterion_08_coercivity_signs():
 
     # Lemma-level regularizer properties (shared kappa)
     reg = make_transmission_regularizer(mp, mm, mm.kappa, n_max=48)
-    R11 = symbol_matrix(reg.R11, 48)
-    R12 = symbol_matrix(reg.R12, 48)
-    R21 = symbol_matrix(reg.R21, 48)
-    R22 = symbol_matrix(reg.R22, 48)
+    R11, R12, R21, R22 = (
+        Symbol(48, reg.R.values[:, i:i + 2, j:j + 2])
+        for i in (0, 2) for j in (0, 2))
     for _ in range(50):
         g = flatten_density(_band_limited(rng, 96, 12))
         phi = flatten_density(_band_limited(rng, 96, 12))
@@ -405,7 +425,7 @@ def test_criterion_11_eigenvalue_clustering():
     assert np.mean(np.abs(eig_d - 1.0) <= 0.5) >= 0.9
 
     # single-equation Schwarz operator B+ clusters at 1
-    Up, Um = _robin_matrices(mp, mm, grid, mm.kappa)
+    Up, Um = transmission_operators(mp, mm, mm.kappa, n_max=grid.n)
     single = rtr_exterior(mp, mm, grid, mm.kappa, Up, Um, variant="single")
     eig_b = np.linalg.eigvals(single.meta["bplus"])
     assert np.mean(np.abs(eig_b - 1.0) <= 0.5) >= 0.9
@@ -420,7 +440,7 @@ def test_criterion_12_ddm_invertibility_and_variant_agreement():
     mp = make_material(lam=1.0, mu=1.0, omega=4.0)
     mm = make_material(lam=2.0, mu=8.0, omega=4.0)
     grid = sample_grid(make_curve("starfish"), 96)
-    Up, Um = _robin_matrices(mp, mm, grid, mm.kappa)
+    Up, Um = transmission_operators(mp, mm, mm.kappa, n_max=grid.n)
     s_minus = rtr_interior(mm, grid, Up, Um)
     variants = {v: rtr_exterior(mp, mm, grid, mm.kappa, Up, Um, variant=v)
                 for v in ("plain", "eps", "single")}

@@ -9,7 +9,8 @@ from elastobie import (assemble_ddm, assemble_transmission,
                        lu_solve, make_curve, make_material, plane_wave,
                        point_source, reconstruct_fields, sample_grid,
                        trace_and_traction)
-from elastobie.ddm import _robin_matrices, rtr_exterior, rtr_interior
+from elastobie.ddm import rtr_exterior, rtr_interior
+from elastobie.multipliers import transmission_operators
 from elastobie.quadrature import flatten_density
 
 OMEGA = 4.0
@@ -29,7 +30,7 @@ def mats():
 @pytest.fixture(scope="module")
 def robin(grid, mats):
     mp, mm = mats
-    return _robin_matrices(mp, mm, grid, mm.kappa)
+    return transmission_operators(mp, mm, mm.kappa, n_max=grid.n)
 
 
 def test_bplus_principal_symbol_is_identity(mats):
@@ -112,7 +113,7 @@ def test_error_paths(grid, mats):
     mp, mm = mats
     with pytest.raises(ValueError):
         assemble_ddm(mp, mm, grid)  # no data
-    Up, Um = _robin_matrices(mp, mm, grid, mm.kappa)
+    Up, Um = transmission_operators(mp, mm, mm.kappa, n_max=grid.n)
     with pytest.raises(ValueError):
         rtr_exterior(mp, mm, grid, mm.kappa, Up, Um, variant="triple")
 

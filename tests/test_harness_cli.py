@@ -1,6 +1,7 @@
 """Harness and CLI tests: config execution, CSV contract, determinism."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,28 @@ def test_label_the_csv_cannot_hold_fails_early(monkeypatch, label):
     config = dict(SMOKE, formulations=[{"name": "CFIER"},
                                        {"name": "CFIE", "label": label}])
     with pytest.raises(ValueError, match=r"formulations\[1\]\.label"):
+        run_experiment(config)
+
+
+TRANSMISSION = dict(SMOKE, problem="transmission",
+                    materials={"exterior": {"lam": 1.0, "mu": 1.0}},
+                    formulations=[{"name": "KR"}])
+
+
+@pytest.mark.parametrize("field, config", [
+    ("problem", {k: v for k, v in SMOKE.items() if k != "problem"}),
+    ("geometry.kind", dict(SMOKE, geometry={})),
+    ("materials.interior", TRANSMISSION),
+    ("incidence", {k: v for k, v in SMOKE.items() if k != "incidence"}),
+    ("incidence.direction", dict(SMOKE, incidence={"type": "S"})),
+    ("cases[1].n", dict(SMOKE, cases=[{"omega": 4, "n": 8}, {"omega": 4}])),
+    ("formulations[0].name", dict(SMOKE, formulations=[{"label": "A"}])),
+])
+def test_missing_config_field_fails_early(monkeypatch, field, config):
+    for module in ("harness", "formulations", "ddm"):
+        monkeypatch.setattr(f"elastobie.{module}.boundary_operators",
+                            _no_assembly)
+    with pytest.raises(ValueError, match=f"required field '{re.escape(field)}'"):
         run_experiment(config)
 
 

@@ -68,16 +68,36 @@ def test_lambda_kappa_branch():
         assert np.allclose(lk.at(k) @ lki.at(k), np.eye(2))
 
 
+def _blocks(sym):
+    """The 2x2 block symbols R11, R12, R21, R22 of a 4x4 symbol."""
+    return [Symbol(sym.n_max, sym.values[:, i:i + 2, j:j + 2])
+            for i in (0, 2) for j in (0, 2)]
+
+
 def test_apply_multiplier_and_matrix_agree(circle48):
+    # sym @ x and A @ sym by FFT against the dense realizations: a 2x2
+    # symbol against symbol_matrix, the 4x4 regularizer against its 2x2
+    # blocks, and its block transpose against the transposed blocks.
     rng = np.random.default_rng(5)
     n = circle48.n
     H = make_symbol("H", n_max=n)
-    g = rng.standard_normal((circle48.size, 2)) \
-        + 1j * rng.standard_normal((circle48.size, 2))
-    via_fft = apply_multiplier(H, g)
-    M = symbol_matrix(H, n)
-    via_matrix = (M @ g.reshape(-1)).reshape(-1, 2)
-    assert np.allclose(via_fft, via_matrix, atol=1e-12)
+    reg = make_transmission_regularizer(_mat(1.0, 1.0, 3.0),
+                                        _mat(2.0, 8.0, 3.0), n_max=n)
+    r11, r12, r21, r22 = (symbol_matrix(b, n) for b in _blocks(reg.R))
+    t11, t12, t21, t22 = (symbol_matrix(symbol_transpose(b), n)
+                          for b in _blocks(reg.R))
+    cases = [(H, symbol_matrix(H, n)),
+             (reg.R, np.block([[r11, r12], [r21, r22]])),
+             (reg.RT, np.block([[t22, -t12], [-t21, t11]]))]
+    for sym, dense in cases:
+        size = dense.shape[0]
+        x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        A = rng.standard_normal((size, 5)) + 1j * rng.standard_normal((size, 5))
+        for got, want in ((sym @ x, dense @ x), (sym @ A, dense @ A),
+                          (x @ sym, x @ dense), (A.T @ sym, A.T @ dense),
+                          (apply_multiplier(sym, A.T, axis=1), A.T @ dense.T)):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_symbol_matrix_matches_the_block_ifft():
@@ -109,7 +129,7 @@ def test_multiplier_acts_diagonally_on_modes():
         for comp in (0, 1):
             g = np.zeros((2 * n, 2), dtype=complex)
             g[:, comp] = np.exp(1j * k * t)
-            out = apply_multiplier(H, g)
+            out = (H @ g.reshape(-1)).reshape(-1, 2)
             expect = np.exp(1j * k * t)[:, None] * H.at(k)[:, comp]
             assert np.allclose(out, expect, atol=1e-12)
 
@@ -209,8 +229,7 @@ def test_regularizer_identity_shared_kappa():
     cm = _calderon_symbol(mm, kappa, 24)
     ident = 0.5 * np.eye(4)
     for idx in (0, 3, 17, 40, 48):
-        R = np.block([[reg.R11.values[idx], reg.R12.values[idx]],
-                      [reg.R21.values[idx], reg.R22.values[idx]]])
+        R = reg.R.values[idx]
         assert np.allclose((cp[idx] + cm[idx]) @ R, ident + cm[idx], atol=1e-13)
         assert np.allclose(cp[idx] @ cp[idx], 0.25 * np.eye(4), atol=1e-13)
 
@@ -226,8 +245,7 @@ def test_regularized_indirect_symbol_is_well_conditioned_per_mode():
     cp = _calderon_symbol(mp, reg.kappa[0], n_max)
     cm = _calderon_symbol(mm, reg.kappa[1], n_max)
     for idx in range(2 * n_max + 1):
-        R = np.block([[reg.R11.values[idx], reg.R12.values[idx]],
-                      [reg.R21.values[idx], reg.R22.values[idx]]])
+        R = reg.R.values[idx]
         M = 0.5 * np.eye(4) - cm[idx] + (cp[idx] + cm[idx]) @ R
         assert np.linalg.cond(M) < 1e3
 
