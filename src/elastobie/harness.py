@@ -26,7 +26,8 @@ A missing "coupling" uses the quasi-optimal coupling (CFIE) or the default
 complexified wavenumber rule (CFIER/OS).  A label holds no comma or line break.
 run_experiment rejects a config that lacks a required field (every key above
 but "table", "solver", "timing" and "output"; "interior" for transmission
-only) before any cell runs, naming the field.
+only, and "lam" and "mu" of each material) or holds an unknown problem,
+incidence type or formulation name, before any cell runs, naming the field.
 
 Rows are deterministic given a config except for the wall-time column; set
 "timing": "none" to zero it and obtain bit-identical CSV across runs.
@@ -86,39 +87,62 @@ def load_config(path) -> dict:
 
 def _make_incident(spec: dict, material):
     kind = spec.get("type", "P")
-    if kind in ("P", "S"):
-        d = np.asarray(spec["direction"], dtype=float)
-        d = d / np.linalg.norm(d)
-        if kind == "P":
-            p = np.asarray(spec.get("polarization", d), dtype=float)
-        else:
-            p = np.asarray(spec.get("polarization", [-d[1], d[0]]), dtype=float)
-        return plane_wave(material, d, p)
     if kind == "point_source":
         return point_source(material,
                             np.asarray(spec["location"], dtype=float),
                             np.asarray(spec["polarization"], dtype=float))
-    raise ValueError(f"unknown incidence type {kind!r}")
+    d = np.asarray(spec["direction"], dtype=float)
+    d = d / np.linalg.norm(d)
+    p = spec.get("polarization", d if kind == "P" else [-d[1], d[0]])
+    return plane_wave(material, d, np.asarray(p, dtype=float))
+
+
+# The layer potential each manufactured column (V, K or W) represents.
+_MANUFACTURED_LAYERS = {"V": "SL", "K": "DL", "W": "DL"}
+
+# The formulation names each problem knows.
+_FORMULATIONS = {
+    "manufactured": tuple(_MANUFACTURED_LAYERS),
+    "dirichlet": ("CFIE", "CFIER"),
+    "neumann": ("CFIE", "CFIER", "DCFIER"),
+    "transmission": ("SC", "KR", "DCFIER", "ICFIER", "OS"),
+}
 
 
 def _check_config(config: dict) -> None:
     """Reject, before any work, a config that lacks a field the schema
-    requires or holds a label the CSV cannot hold; name the field."""
+    requires, holds a value no cell can run, or holds a label the CSV cannot
+    hold; name the field."""
     required = ["problem", "geometry.kind", "materials.exterior", "incidence",
                 "formulations"]
-    if config.get("problem") == "transmission":
+    problem = config.get("problem")
+    if problem == "transmission":
         required.append("materials.interior")
     incidence = config.get("incidence")
     if isinstance(incidence, dict):
+        kind = incidence.get("type", "P")
+        if kind not in ("P", "S", "point_source"):
+            raise ValueError(f"incidence.type {kind!r} is not 'P', 'S' or "
+                             "'point_source'")
+        if problem == "manufactured" and kind != "point_source":
+            raise ValueError("manufactured problems need incidence.type "
+                             f"'point_source', not {kind!r}")
         required += (["incidence.location", "incidence.polarization"]
-                     if incidence.get("type") == "point_source"
-                     else ["incidence.direction"])
+                     if kind == "point_source" else ["incidence.direction"])
     for path in required:
         node = config
         for key in path.split("."):
             if not isinstance(node, dict) or key not in node:
                 raise ValueError(f"config lacks the required field {path!r}")
             node = node[key]
+    if problem not in _FORMULATIONS:
+        raise ValueError(f"problem {problem!r} is not one of "
+                         f"{', '.join(_FORMULATIONS)}")
+    for role, material in config["materials"].items():
+        for key in ("lam", "mu"):
+            if not isinstance(material, dict) or key not in material:
+                raise ValueError(f"config lacks the required field "
+                                 f"'materials.{role}.{key}'")
     for i, case in enumerate(config.get("cases", [])):
         for key in ("omega", "n"):
             if key not in case:
@@ -128,26 +152,14 @@ def _check_config(config: dict) -> None:
         if "name" not in form:
             raise ValueError(f"config lacks the required field "
                              f"'formulations[{i}].name'")
+        if form["name"] not in _FORMULATIONS[problem]:
+            raise ValueError(f"formulations[{i}].name {form['name']!r} is not "
+                             f"a {problem} formulation")
         # emit_table writes labels unquoted; parse_table splits on these
         label = form.get("label", "")
         if "," in label or "".join(label.splitlines()) != label:
             raise ValueError(f"formulations[{i}].label {label!r} holds a "
                              "comma or a line break")
-
-
-# The layer potential each manufactured column (V, K or W) represents.
-_MANUFACTURED_LAYERS = {"V": "SL", "K": "DL", "W": "DL"}
-
-
-def _check_manufactured(config: dict) -> None:
-    """Reject a manufactured config that no cell can run, before any work."""
-    kind = config["incidence"].get("type", "P")
-    if kind != "point_source":
-        raise ValueError("manufactured problems need incidence.type "
-                         f"'point_source', not {kind!r}")
-    for form in config["formulations"]:
-        if form["name"] not in _MANUFACTURED_LAYERS:
-            raise ValueError(f"unknown manufactured formulation {form['name']!r}")
 
 
 def _manufactured_cell(form, material, grid, source, reference: FarField):
@@ -174,16 +186,13 @@ def _iterative_cell(problem, form_spec, mats, grid, incident, solver):
     elif problem == "neumann":
         system = assemble_neumann(name, mats["exterior"], grid,
                                   coupling=coupling, incident=incident)
-    elif problem == "transmission":
-        if name == "OS":
-            system = assemble_ddm(mats["exterior"], mats["interior"], grid,
-                                  kappa=coupling, incident=incident)
-        else:
-            system = assemble_transmission(name, mats["exterior"],
-                                           mats["interior"], grid,
-                                           kappa=coupling, incident=incident)
+    elif name == "OS":
+        system = assemble_ddm(mats["exterior"], mats["interior"], grid,
+                              kappa=coupling, incident=incident)
     else:
-        raise ValueError(f"unknown problem {problem!r}")
+        system = assemble_transmission(name, mats["exterior"],
+                                       mats["interior"], grid,
+                                       kappa=coupling, incident=incident)
     report = gmres(system.operator.matrix, system.rhs,
                    tol=solver.get("tol", 1e-8),
                    maxiter=solver.get("maxiter"))
@@ -255,8 +264,6 @@ def run_experiment(config: dict, threads: int | None = None) -> list[ReportRow]:
     report is assembled in deterministic order regardless of scheduling.
     """
     _check_config(config)
-    if config["problem"] == "manufactured":
-        _check_manufactured(config)
     cells = [(case, form) for case in config.get("cases", [])
              for form in config["formulations"]]
     if not cells:

@@ -112,11 +112,13 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
     for term in terms:
         mat, grid, g = term.material, term.grid, term.density
         lam, mu = mat.lam, mat.mu
-        gp, gs = _gammas(mat)
         w = np.pi / grid.n
-        for wave in ("p", "s"):
-            k = mat.kp if wave == "p" else mat.ks
-            gam = gp if wave == "p" else gs
+        if term.layer == "DL":
+            nu = grid.nu
+            nug = np.einsum("ni,ni->n", nu, g)  # nu.g per node
+            nux = dirs @ nu.T                   # (M, N) nu.xhat
+            xg = dirs @ g.T                     # (M, N) xhat.g
+        for wave, k, gam in zip("ps", (mat.kp, mat.ks), _gammas(mat)):
             E = phases.get((k, id(grid)))
             if E is None:
                 E = phases[k, id(grid)] = np.exp(-1j * k * (dirs @ grid.x.T))
@@ -129,22 +131,17 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
                     contrib = gam * (mom - dirs * np.einsum(
                         "mi,mi->m", dirs, mom)[:, None])
             else:  # DL
-                nu = grid.nu
-                nug = np.einsum("ni,ni->n", nu, g)        # nu.g per node
-                nux = dirs @ nu.T                          # (M, N) nu.xhat
-                xg = g @ dirs.T                            # (N, M) xhat.g
+                Enx = E * nux
+                c = (Enx * xg).sum(axis=1)  # Sum E (nu.xhat)(xhat.g)
                 if wave == "p":
                     # -ik gam xhat Sum E w [lam (nu.g) + 2 mu (nu.xhat)(xhat.g)]
-                    s = (E * (lam * nug[None, :]
-                              + 2.0 * mu * nux * xg.T)).sum(axis=1)
+                    s = lam * (E @ nug) + 2.0 * mu * c
                     contrib = (-1j * k * gam * w) * dirs * s[:, None]
                 else:
-                    # -ik gam Sum E w [mu (nu.xhat) P g + mu (P nu)(xhat.g)]
-                    Pg = g[None, :, :] - dirs[:, None, :] * xg.T[:, :, None]
-                    Pnu = nu[None, :, :] - dirs[:, None, :] * nux[:, :, None]
-                    s = (E[:, :, None] * mu
-                         * (nux[:, :, None] * Pg + Pnu * xg.T[:, :, None])
-                         ).sum(axis=1)
+                    # -ik gam Sum E w mu [(nu.xhat) P g + (P nu)(xhat.g)],
+                    # with (nu.xhat) P g + (P nu)(xhat.g)
+                    #    = (nu.xhat) g + (xhat.g) nu - 2 xhat (nu.xhat)(xhat.g)
+                    s = mu * (Enx @ g + (E * xg) @ nu - 2.0 * dirs * c[:, None])
                     contrib = (-1j * k * gam * w) * s
             if wave == "p":
                 up += contrib

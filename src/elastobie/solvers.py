@@ -1,10 +1,12 @@
 """Dense linear-algebra backends: full GMRES and an LU reference solve.
 
-GMRES is written out in full (no restart) with modified Gram-Schmidt and one
-reorthogonalization pass, because iteration counts are a reported quantity of
-the benchmark harness and must not depend on a library's restart/termination
-conventions.  Convergence is declared on the right-hand-side-relative
-residual ||b - A x|| / ||b||.
+GMRES is written out in full (no restart) because iteration counts are a
+reported quantity of the benchmark harness and must not depend on a
+library's restart/termination conventions.  The Arnoldi basis is kept
+orthogonal by classical Gram-Schmidt applied twice (CGS2, "twice is
+enough"), two matrix-vector products with the stored basis per pass; the
+Givens rotations run on plain Python complex scalars.  Convergence is
+declared on the right-hand-side-relative residual ||b - A x|| / ||b||.
 """
 
 from __future__ import annotations
@@ -19,86 +21,94 @@ __all__ = ["SolveReport", "gmres", "lu_solve"]
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution vector plus the solve's diagnostic record."""
+    """Solution vector plus the solve's diagnostic record.
+
+    history holds the monitored relative residual after each iteration;
+    reason says why the solve stopped: "tol" (converged), "maxiter", or
+    "breakdown" (a singular projected system).
+    """
 
     x: np.ndarray = field(repr=False)
     iterations: int
     residual: float
     converged: bool
     method: str = "gmres"
+    history: tuple = field(default=(), repr=False)
+    reason: str = "tol"
 
 
 def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
-    """Full GMRES for a dense matrix.
+    """Full GMRES for any operand A that supports A @ x.
 
     Stops when ||b - A x_k|| / ||b|| <= tol (monitored via the Arnoldi
     least-squares residual, which is exact in exact arithmetic and protected
-    here by reorthogonalization).
+    here by reorthogonalization).  A zero pivot of the projected system
+    stops the solve unconverged, with the iterate of the steps before it.
     """
-    A = np.asarray(A)
     b = np.asarray(b, dtype=complex)
     N = b.size
-    if maxiter is None:
-        maxiter = N
-    maxiter = min(maxiter, N)
-    bnorm = np.linalg.norm(b)
+    maxiter = N if maxiter is None else min(maxiter, N)
+    bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return SolveReport(x=np.zeros_like(b), iterations=0, residual=0.0,
                            converged=True)
 
     V = np.empty((maxiter + 1, N), dtype=complex)
     H = np.zeros((maxiter + 1, maxiter), dtype=complex)
-    cs = np.zeros(maxiter, dtype=complex)
-    sn = np.zeros(maxiter, dtype=complex)
-    g = np.zeros(maxiter + 1, dtype=complex)
-
+    cs, sn = [], []  # Givens rotations (sn is real: it eliminates hnorm)
+    g = complex(bnorm)  # last entry of the rotated right-hand side
+    gs = []  # its settled entries
+    history = []
     V[0] = b / bnorm
-    g[0] = bnorm
-    k_done = 0
     res = 1.0
+    reason = "maxiter"
     for k in range(maxiter):
         w = A @ V[k]
-        # modified Gram-Schmidt + one reorthogonalization pass
-        for i in range(k + 1):
-            h = np.vdot(V[i], w)
-            H[i, k] = h
-            w = w - h * V[i]
-        for i in range(k + 1):
-            corr = np.vdot(V[i], w)
-            H[i, k] += corr
-            w = w - corr * V[i]
-        hnorm = np.linalg.norm(w)
-        H[k + 1, k] = hnorm
-        # apply stored Givens rotations to the new column
+        Vk = V[:k + 1]
+        # CGS2; (Vk @ w.conj()).conj() avoids copying the basis as Vk.conj()
+        h = (Vk @ w.conj()).conj()
+        w = w - h @ Vk
+        c = (Vk @ w.conj()).conj()
+        w = w - c @ Vk
+        hnorm = float(np.linalg.norm(w))
+        col = (h + c).tolist()
+        col.append(hnorm)
+        # apply the stored rotations to the new column
         for i in range(k):
-            t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-            H[i + 1, k] = -np.conj(sn[i]) * H[i, k] + np.conj(cs[i]) * H[i + 1, k]
-            H[i, k] = t
-        # new rotation eliminating H[k+1, k]
-        a, bb = H[k, k], H[k + 1, k]
-        r = np.sqrt(abs(a) ** 2 + abs(bb) ** 2)
+            t = cs[i] * col[i] + sn[i] * col[i + 1]
+            col[i + 1] = -sn[i] * col[i] + cs[i].conjugate() * col[i + 1]
+            col[i] = t
+        # new rotation eliminating the subdiagonal entry
+        a = col[k]
+        r = (abs(a) ** 2 + hnorm ** 2) ** 0.5
         if r == 0.0:
-            cs[k], sn[k] = 1.0, 0.0
-        else:
-            cs[k] = np.conj(a) / r
-            sn[k] = np.conj(bb) / r
-        H[k, k] = cs[k] * a + sn[k] * bb
-        H[k + 1, k] = 0.0
-        g[k + 1] = -np.conj(sn[k]) * g[k]
-        g[k] = cs[k] * g[k]
-        k_done = k + 1
-        res = abs(g[k + 1]) / bnorm
+            reason = "breakdown"
+            break
+        cs.append(a.conjugate() / r)
+        sn.append(hnorm / r)
+        col[k] = cs[k] * a + sn[k] * hnorm
+        col[k + 1] = 0.0
+        H[:k + 2, k] = col
+        gs.append(cs[k] * g)
+        g = -sn[k] * g
+        res = abs(g) / bnorm
+        history.append(res)
         if res <= tol:
+            reason = "tol"
             break
         if hnorm == 0.0:
-            break  # lucky breakdown: Krylov space exhausted
+            reason = "breakdown"
+            break
         if k + 1 < maxiter:
             V[k + 1] = w / hnorm
     # back-substitution for the projected triangular system
-    y = scipy.linalg.solve_triangular(H[:k_done, :k_done], g[:k_done])
+    k_done = len(gs)
+    y = scipy.linalg.solve_triangular(H[:k_done, :k_done],
+                                      np.array(gs, dtype=complex))
     x = y @ V[:k_done]
-    return SolveReport(x=x, iterations=k_done, residual=float(res),
-                       converged=bool(res <= tol), method="gmres")
+    return SolveReport(x=x, iterations=k_done, residual=res,
+                       converged=reason == "tol", history=tuple(history),
+                       reason=reason)
 
 
 def lu_solve(A, b) -> SolveReport:

@@ -196,6 +196,34 @@ def test_missing_config_field_fails_early(monkeypatch, field, config):
         run_experiment(config)
 
 
+@pytest.mark.parametrize("field, config", [
+    ("problem", dict(SMOKE, problem="helmholtz")),
+    ("incidence.type", dict(SMOKE, incidence={"type": "Q",
+                                              "direction": [0.0, -1.0]})),
+    ("formulations[1].name", dict(SMOKE, formulations=[{"name": "CFIER"},
+                                                       {"name": "KR"}])),
+    ("materials.exterior.lam", dict(SMOKE,
+                                    materials={"exterior": {"mu": 1.0}})),
+    ("materials.interior.mu", dict(TRANSMISSION, materials={
+        "exterior": {"lam": 1.0, "mu": 1.0}, "interior": {"lam": 2.0}})),
+])
+def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
+    for module in ("harness", "formulations", "ddm"):
+        monkeypatch.setattr(f"elastobie.{module}.boundary_operators",
+                            _no_assembly)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        run_experiment(config)
+
+
+def test_first_preset_cases_identical_across_thread_counts():
+    for name in ("dirichlet-circle", "neumann-cavity", "transmission-starfish"):
+        config = dict(PRESETS[name], cases=PRESETS[name]["cases"][:1],
+                      timing="none")
+        one, two = (emit_table(run_experiment(config, threads=t),
+                               table_name=config["table"]) for t in (1, 2))
+        assert one == two, name
+
+
 def test_nonconvergence_is_flagged():
     config = dict(SMOKE, solver={"tol": 1e-8, "maxiter": 2})
     (row,) = run_experiment(config)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from elastobie import gmres, lu_solve
+from elastobie.multipliers import Symbol, symbol_matrix
 
 
 def _well_conditioned(rng, m):
@@ -54,8 +55,46 @@ def test_maxiter_and_convergence_flag(rng):
     rep = gmres(A, b, tol=1e-14, maxiter=3)
     assert not rep.converged
     assert rep.iterations == 3
+    assert rep.reason == "maxiter"
     full = gmres(A, b, tol=1e-12, maxiter=30)
     assert full.converged
+    assert full.reason == "tol"
+
+
+def test_residual_history(rng):
+    A = _well_conditioned(rng, 40) + np.diag(np.linspace(0, 2, 40))
+    b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    for maxiter in (3, None):
+        rep = gmres(A, b, tol=1e-12, maxiter=maxiter)
+        history = np.array(rep.history)
+        assert len(history) == rep.iterations
+        assert np.all(np.diff(history) <= 0.0)
+        assert history[-1] == rep.residual
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[0, 1], [0, 0]], [1, 0]),
+    (np.zeros((3, 3)), np.ones(3)),
+])
+def test_singular_breakdown_stops_unconverged(A, b):
+    rep = gmres(A, b)
+    assert rep.reason == "breakdown"
+    assert not rep.converged
+    assert rep.iterations == 0 and rep.history == ()
+    assert rep.residual == 1.0
+    assert np.all(rep.x == 0.0)
+
+
+def test_gmres_applies_any_operand_with_matmul(rng):
+    n = 8
+    values = (np.eye(2) + 0.3 * (rng.standard_normal((2 * n + 1, 2, 2))
+                                 + 1j * rng.standard_normal((2 * n + 1, 2, 2))))
+    sym = Symbol(n_max=n, values=values)
+    b = rng.standard_normal(4 * n) + 1j * rng.standard_normal(4 * n)
+    by_fft = gmres(sym, b, tol=1e-10)
+    dense = gmres(symbol_matrix(sym, n), b, tol=1e-10)
+    assert by_fft.iterations == dense.iterations > 2
+    assert np.linalg.norm(by_fft.x - dense.x) < 1e-12 * np.linalg.norm(dense.x)
 
 
 def test_exact_solution_in_few_iterations():
@@ -71,6 +110,7 @@ def test_zero_rhs():
     A = np.eye(4, dtype=complex)
     rep = gmres(A, np.zeros(4, dtype=complex), tol=1e-10)
     assert rep.converged
+    assert rep.history == () and rep.reason == "tol"
     assert np.linalg.norm(rep.x) == 0.0
 
 
@@ -80,4 +120,5 @@ def test_lu_solve_report():
     b = rng.standard_normal(12) + 0j
     rep = lu_solve(A, b)
     assert rep.method == "lu"
+    assert rep.history == () and rep.reason == "tol"
     assert np.linalg.norm(A @ rep.x - b) < 1e-12
