@@ -18,24 +18,26 @@ The Schwarz fixed-point system solved by GMRES is
         = ( -(T u_inc + Upsilon_+ gamma u_inc),
             +(T u_inc + Upsilon_- gamma u_inc) ),
 
-where S_+- are Robin-to-Robin (RtR) maps: S_+ lambda_+ = T+ u+ + Upsilon_-
-gamma+ u+ with u+ the radiative exterior solution satisfying T+ u+ +
-Upsilon_+ gamma+ u+ = lambda_+, and S_- lambda_- = T u- + Upsilon_+ gamma- u-
-with u- the interior solution satisfying T u- + Upsilon_- gamma- u- =
-lambda_-.  Each RtR map is realized as a dense matrix by a direct
-boundary-integral solve of the subdomain Robin problem:
+where S_+- are the Robin-to-Robin (RtR) maps: S_+ takes the datum lambda_+
+of the radiating exterior solution u+ to T+ u+ + Upsilon_- gamma+ u+, and S_-
+takes lambda_- of the interior solution u- to T u- + Upsilon_+ gamma- u-.
+Each is a dense matrix from a direct solve of the subdomain Robin problem,
+built from the subdomain's Calderon matrix C = [[K, -V], [W, -K^T]]; with
+s = +1 outside and s = -1 inside (Upsilon_s = Upsilon_+ or Upsilon_-)
 
-* interior:  [[-1/2 I - K-, V-], [W- - Upsilon_-, -1/2 I - K-^T]]
-             (gamma u-, T u-) = -(0, lambda_-);
-* exterior ("plain"):  [[1/2 I - K+, V+], [W+ + Upsilon_+, 1/2 I - K+^T]]
-             (gamma u+, T u+) = (0, lambda_+);
-* exterior ("eps"):  the same system with eps Vtilde (Upsilon_+, I) added to
-  the first row, Vtilde = beta- Lambda_kappa (1/2 I - alpha- H), which stays
-  uniquely solvable across all frequencies;
-* exterior ("single"):  a single regularized second-kind equation B+ phi =
-  lambda_+ for the ansatz u+ = DL+[R^os phi] - SL+[PS_kappa(Y+) R^os phi],
-  R^os = (PS_kappa(Y+) - PS_kappa(Y-))^{-1}; the principal part of B+ is
-  exactly the identity (see bplus_principal_symbol).
+    [[s/2 I - K, V], [W + s Upsilon_s, s/2 I - K^T]] (gamma u, T u) = (0, s lambda).
+
+The exterior map has three discretizations:
+
+* "plain":  this system;
+* "eps":  EPS Vtilde times the Robin row (Upsilon_+, I) = lambda_+ added to
+  the first row, Vtilde = beta- Lambda_kappa (1/2 I - alpha- H) = beta- delta-
+  Upsilon_+^{-1}; it stays uniquely solvable at every frequency;
+* "single":  one second-kind equation B+ phi = lambda_+ for the ansatz
+  u+ = DL+[R^os phi] - SL+[PS_kappa(Y+) R^os phi], R^os = (PS_kappa(Y+) -
+  PS_kappa(Y-))^{-1}, whose Cauchy data are (1/2 I + C)(R^os phi,
+  PS_kappa(Y+) R^os phi); B+'s principal part is exactly the identity
+  (see bplus_principal_symbol).
 """
 
 from __future__ import annotations
@@ -46,19 +48,16 @@ import numpy as np
 import scipy.linalg
 
 from .formulations import (DenseOperator, LinearSystem, _green_terms,
-                           _incident_cauchy_data, boundary_operators)
+                           _incident_cauchy_data, calderon_matrix)
 from .materials import Material
 from .multipliers import (Symbol, identity_symbol, make_symbol, ps_dtn,
                           symbol_matrix, transmission_operators)
 from .quadrature import flatten_density
 
-__all__ = [
-    "RtRMap",
-    "rtr_interior",
-    "rtr_exterior",
-    "assemble_ddm",
-    "bplus_principal_symbol",
-]
+__all__ = ["RtRMap", "rtr_interior", "rtr_exterior", "assemble_ddm",
+           "bplus_principal_symbol"]
+
+EPS = 0.1  # weight of the regularizing Vtilde rows of the "eps" variant
 
 
 @dataclass(frozen=True)
@@ -75,64 +74,59 @@ class RtRMap:
     meta: dict = field(default_factory=dict, repr=False)  # "bplus" if single
 
 
+def _robin_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol,
+               vt: np.ndarray | None = None) -> RtRMap:
+    """RtR map of the subdomain on `side` (+1 exterior, -1 interior); its
+    Robin system is built in place in its Calderon matrix C.  vt adds the
+    "eps" rows vt (Upsilon, I) to the first row."""
+    L = C.shape[0] // 2  # 4n: one interleaved density on the 2n nodes
+    A = C
+    A[:L] *= -1
+    A[np.diag_indices_from(A)] += side / 2
+    A[L:, :L] += side * symbol_matrix(ups, L // 4)
+    rhs = np.zeros((2 * L, L), dtype=complex)
+    np.fill_diagonal(rhs[L:], side)
+    if vt is not None:
+        A[:L, :L] += vt @ ups
+        A[:L, L:] += vt
+        rhs[:L] = vt
+    X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
+    return RtRMap(matrix=ups_out @ X[:L] + X[L:], data_map=X)
+
+
 def rtr_interior(mat_minus: Material, grid, ups_plus: Symbol,
                  ups_minus: Symbol) -> RtRMap:
     """Interior RtR map S_- from a direct Calderon + Robin-row solve."""
-    ops = boundary_operators(mat_minus, grid)
-    L = 2 * grid.size
-    I = np.eye(L, dtype=complex)
-    A = np.block([
-        [-0.5 * I - ops["K"], ops["V"]],
-        [ops["W"] - symbol_matrix(ups_minus, grid.n), -0.5 * I - ops["Kt"]],
-    ])
-    rhs = np.zeros((2 * L, L), dtype=complex)
-    rhs[L:] = -I
-    X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
-    return RtRMap(matrix=ups_plus @ X[:L] + X[L:], data_map=X)
+    return _robin_map(calderon_matrix(mat_minus, grid), -1, ups_minus,
+                      ups_plus)
 
 
 def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
                  kappa: complex, ups_plus: Symbol, ups_minus: Symbol,
-                 variant: str = "plain", eps: float = 0.1) -> RtRMap:
+                 variant: str = "plain") -> RtRMap:
     """Exterior RtR map S_+; variants 'plain', 'eps', 'single'."""
     if variant not in ("plain", "eps", "single"):
         raise ValueError(f"unknown exterior RtR variant {variant!r}")
-    ops = boundary_operators(mat_plus, grid)
+    C = calderon_matrix(mat_plus, grid)
+    if variant != "single":
+        vt = None if variant == "plain" else EPS * symbol_matrix(
+            (mat_minus.beta * mat_minus.delta) * ups_plus.inv(), grid.n)
+        return _robin_map(C, +1, ups_plus, ups_minus, vt)
     L = 2 * grid.size
-    I = np.eye(L, dtype=complex)
-    meta = {}
-    if variant == "single":
-        ps_p = ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=grid.n)
-        ps_m = ps_dtn(mat_minus, "interior", kappa=kappa, n_max=grid.n)
-        Ros = (ps_p - ps_m).inv()
-        trace_map = (0.5 * I + ops["K"] - ops["V"] @ ps_p) @ Ros
-        traction_map = (ops["W"] + (0.5 * I - ops["Kt"]) @ ps_p) @ Ros
-        B = traction_map + ups_plus @ trace_map
-        X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), I)
-        X = np.vstack([trace_map @ X, traction_map @ X])
-        meta["bplus"] = B
-    else:
-        A = np.block([
-            [0.5 * I - ops["K"], ops["V"]],
-            [ops["W"] + symbol_matrix(ups_plus, grid.n), 0.5 * I - ops["Kt"]],
-        ])
-        rhs = np.zeros((2 * L, L), dtype=complex)
-        rhs[L:] = I
-        if variant == "eps":
-            H = make_symbol("H", n_max=grid.n)
-            Lk = make_symbol("LambdaKappa", kappa=kappa, n_max=grid.n)
-            bracket = 0.5 * identity_symbol(grid.n) - mat_minus.alpha * H
-            vt = eps * symbol_matrix(mat_minus.beta * (Lk @ bracket), grid.n)
-            A[:L, :L] += vt @ ups_plus
-            A[:L, L:] += vt
-            rhs[:L] = vt
-        X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
-    return RtRMap(matrix=ups_minus @ X[:L] + X[L:], data_map=X, meta=meta)
+    ps_p = ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=grid.n)
+    ps_m = ps_dtn(mat_minus, "interior", kappa=kappa, n_max=grid.n)
+    Ros = (ps_p - ps_m).inv()
+    C[np.diag_indices_from(C)] += 0.5
+    D = C[:, :L] @ Ros + C[:, L:] @ (ps_p @ Ros)  # Cauchy data of u+ per phi
+    B = D[L:] + ups_plus @ D[:L]
+    X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), D.T, trans=1).T  # D B^-1
+    return RtRMap(matrix=ups_minus @ X[:L] + X[L:], data_map=X,
+                  meta={"bplus": B})
 
 
 def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
                  kappa=None, incident=None, cauchy_data=None,
-                 variant: str = "plain", eps: float = 0.1) -> LinearSystem:
+                 variant: str = "plain") -> LinearSystem:
     """Schwarz system [[I, -S_-], [-S_+, I]] (lambda_+, lambda_-) = rhs.
 
     The incident Cauchy data on the right-hand side use the EXTERIOR
@@ -140,20 +134,18 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     the INTERIOR material's complexified wavenumber (the benchmark
     convention).
     """
-    if variant not in ("plain", "eps", "single"):
-        raise ValueError(f"unknown exterior RtR variant {variant!r}")
     kappa = complex(kappa) if kappa is not None else mat_minus.kappa
     inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident,
                                                     cauchy_data)
     Up, Um = transmission_operators(mat_plus, mat_minus, kappa, n_max=grid.n)
-    S_minus = rtr_interior(mat_minus, grid, Up, Um)
+    # the exterior map first: it rejects an unknown variant before assembly
     S_plus = rtr_exterior(mat_plus, mat_minus, grid, kappa, Up, Um,
-                          variant=variant, eps=eps)
+                          variant=variant)
+    S_minus = rtr_interior(mat_minus, grid, Up, Um)
     L = 2 * grid.size
     I = np.eye(L, dtype=complex)
     M = np.block([[I, -S_minus.matrix], [-S_plus.matrix, I]])
-    b_tr = flatten_density(inc_trace)
-    b_tn = flatten_density(inc_traction)
+    b_tr, b_tn = flatten_density(inc_trace), flatten_density(inc_traction)
     rhs = np.concatenate([-(b_tn + Up @ b_tr), b_tn + Um @ b_tr])
 
     # the representation keeps only the data maps, not the RtR matrices
@@ -172,7 +164,6 @@ def bplus_principal_symbol(mat_plus: Material, mat_minus: Material,
     """Per-mode principal symbol of the single-equation exterior RtR
     operator B+; it collapses to the identity exactly."""
     kappa = complex(kappa)
-    I = identity_symbol(n_max)
     H = make_symbol("H", n_max=n_max)
     Lk = make_symbol("LambdaKappa", kappa=kappa, n_max=n_max)
     Lki = make_symbol("LambdaKappaInv", kappa=kappa, n_max=n_max)
@@ -183,5 +174,5 @@ def bplus_principal_symbol(mat_plus: Material, mat_minus: Material,
     Vs = mat_plus.beta * Lk                    # PS(V+)
     Ws = mat_plus.delta * Lki                  # PS(W+)
     traction_part = Ws + 0.5 * ps_p - Ks @ ps_p
-    trace_part = 0.5 * I + Ks - Vs @ ps_p
+    trace_part = 0.5 * identity_symbol(n_max) + Ks - Vs @ ps_p
     return (traction_part - ps_m @ trace_part) @ Ros

@@ -314,8 +314,10 @@ def reconstruct_fields(system: LinearSystem, solution: np.ndarray) -> PotentialR
     return PotentialRepresentation(terms=system.represent(np.asarray(solution)))
 
 
-def discrete_dtn_exterior(material: Material, grid,
-                          cond_limit: float = 1e12) -> np.ndarray:
+_COND_LIMIT = 1e12  # condition number above which a DtN formula is refused
+
+
+def discrete_dtn_exterior(material: Material, grid) -> np.ndarray:
     """Discrete exterior Dirichlet-to-Neumann map Y+.
 
     Primary formula Y+ = -V^{-1}(1/2 I - K); falls back to
@@ -324,11 +326,11 @@ def discrete_dtn_exterior(material: Material, grid,
     N = grid.size
     ops = boundary_operators(material, grid)
     I = _eye(2 * N)
-    if np.linalg.cond(ops["V"]) < cond_limit:
+    if np.linalg.cond(ops["V"]) < _COND_LIMIT:
         Y = np.linalg.solve(ops["V"], -(0.5 * I - ops["K"]))
     else:
         A = 0.5 * I + ops["Kt"]
-        if np.linalg.cond(A) >= cond_limit:
+        if np.linalg.cond(A) >= _COND_LIMIT:
             raise ValueError("both DtN formulas ill-conditioned at this omega")
         Y = np.linalg.solve(A, ops["W"])
     return Y

@@ -26,8 +26,11 @@ A missing "coupling" uses the quasi-optimal coupling (CFIE) or the default
 complexified wavenumber rule (CFIER/OS).  A label holds no comma or line break.
 run_experiment rejects a config that lacks a required field (every key above
 but "table", "solver", "timing" and "output"; "interior" for transmission
-only, and "lam" and "mu" of each material) or holds an unknown problem,
-incidence type or formulation name, before any cell runs, naming the field.
+only, and "lam" and "mu" of each material) or holds a value no cell can run
+(an unknown problem, incidence type, formulation name or curve kind, a
+material with mu <= 0 or lam + mu <= 0, a zero plane-wave direction, an
+omega that is not positive, an n that is not an integer >= 4), before any
+cell runs, naming the field.
 
 Rows are deterministic given a config except for the wall-time column; set
 "timing": "none" to zero it and obtain bit-identical CSV across runs.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -109,12 +113,18 @@ _FORMULATIONS = {
 }
 
 
+def _make_curve(geometry: dict):
+    return make_curve(geometry["kind"],
+                      params={k: v for k, v in geometry.items() if k != "kind"}
+                      or None)
+
+
 def _check_config(config: dict) -> None:
     """Reject, before any work, a config that lacks a field the schema
     requires, holds a value no cell can run, or holds a label the CSV cannot
     hold; name the field."""
     required = ["problem", "geometry.kind", "materials.exterior", "incidence",
-                "formulations"]
+                "formulations", "cases"]
     problem = config.get("problem")
     if problem == "transmission":
         required.append("materials.interior")
@@ -138,16 +148,36 @@ def _check_config(config: dict) -> None:
     if problem not in _FORMULATIONS:
         raise ValueError(f"problem {problem!r} is not one of "
                          f"{', '.join(_FORMULATIONS)}")
+    try:
+        _make_curve(config["geometry"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"geometry.kind {config['geometry']['kind']!r} "
+                         f"cannot be built: {exc}") from None
     for role, material in config["materials"].items():
         for key in ("lam", "mu"):
             if not isinstance(material, dict) or key not in material:
                 raise ValueError(f"config lacks the required field "
                                  f"'materials.{role}.{key}'")
-    for i, case in enumerate(config.get("cases", [])):
+        try:
+            make_material(material["lam"], material["mu"], omega=1.0)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"materials.{role}: {exc}") from None
+    if "incidence.direction" in required:
+        d = np.asarray(incidence["direction"], dtype=float)
+        if d.shape != (2,) or not np.isfinite(d).all() or not d.any():
+            raise ValueError(f"incidence.direction {incidence['direction']!r} "
+                             "is not a nonzero finite 2-vector")
+    for i, case in enumerate(config["cases"]):
         for key in ("omega", "n"):
-            if key not in case:
+            if not isinstance(case, dict) or key not in case:
                 raise ValueError(f"config lacks the required field "
                                  f"'cases[{i}].{key}'")
+        omega, n = case["omega"], case["n"]
+        if not (isinstance(omega, numbers.Real) and 0 < omega < np.inf):
+            raise ValueError(f"cases[{i}].omega {omega!r} is not a positive "
+                             "finite number")
+        if not (isinstance(n, numbers.Integral) and n >= 4):
+            raise ValueError(f"cases[{i}].n {n!r} is not an integer >= 4")
     for i, form in enumerate(config["formulations"]):
         if "name" not in form:
             raise ValueError(f"config lacks the required field "
@@ -202,10 +232,7 @@ def _iterative_cell(problem, form_spec, mats, grid, incident, solver):
 def _run_cell(config, case, form_spec):
     t0 = time.perf_counter()
     problem = config["problem"]
-    curve = make_curve(config["geometry"]["kind"],
-                       params={k: v for k, v in config["geometry"].items()
-                               if k != "kind"} or None)
-    grid = sample_grid(curve, int(case["n"]))
+    grid = sample_grid(_make_curve(config["geometry"]), int(case["n"]))
     omega = float(case["omega"])
     mats = {role: make_material(lam=m["lam"], mu=m["mu"], omega=omega)
             for role, m in config["materials"].items()}
@@ -264,7 +291,7 @@ def run_experiment(config: dict, threads: int | None = None) -> list[ReportRow]:
     report is assembled in deterministic order regardless of scheduling.
     """
     _check_config(config)
-    cells = [(case, form) for case in config.get("cases", [])
+    cells = [(case, form) for case in config["cases"]
              for form in config["formulations"]]
     if not cells:
         return []

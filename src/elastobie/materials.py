@@ -65,6 +65,8 @@ class Material:
 def make_material(lam: float, mu: float, omega: float) -> Material:
     """Validate a Lame pair and populate derived constants."""
     lam, mu, omega = float(lam), float(mu), float(omega)
+    if not np.isfinite([lam, mu, omega]).all():
+        raise ValueError("lam, mu and omega must be finite")
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     if lam + mu <= 0.0:
@@ -98,7 +100,7 @@ def plane_wave(material: Material, d, p) -> IncidentField:
     """
     d = np.asarray(d, dtype=float)
     p = np.asarray(p, dtype=complex)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(d) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("direction must be a unit vector")
     if np.linalg.norm(p) == 0.0:
         raise ValueError("polarization must be nonzero")

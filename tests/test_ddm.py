@@ -3,14 +3,17 @@ solutions, the single-equation principal symbol, and system invertibility."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from elastobie import (assemble_ddm, assemble_transmission,
                        bplus_principal_symbol, eps_inf, far_field, gmres,
                        lu_solve, make_curve, make_material, plane_wave,
                        point_source, reconstruct_fields, sample_grid,
                        trace_and_traction)
-from elastobie.ddm import rtr_exterior, rtr_interior
-from elastobie.multipliers import transmission_operators
+from elastobie.ddm import _robin_map, rtr_exterior, rtr_interior
+from elastobie.formulations import boundary_operators, calderon_matrix
+from elastobie.multipliers import (identity_symbol, make_symbol, symbol_matrix,
+                                   transmission_operators)
 from elastobie.quadrature import flatten_density
 
 OMEGA = 4.0
@@ -38,6 +41,48 @@ def test_bplus_principal_symbol_is_identity(mats):
     sym = bplus_principal_symbol(mp, mm, mm.kappa, n_max=64)
     for k in range(-64, 65):
         assert np.allclose(sym.at(k), np.eye(2), atol=1e-12)
+
+
+def test_robin_systems_match_the_block_construction(grid, mats, robin):
+    # Oracle: the interior and "plain" exterior Robin systems written out
+    # block by block; _robin_map builds them in place in the Calderon matrix.
+    mp, mm = mats
+    Up, Um = robin
+    L = 2 * grid.size
+    I = np.eye(L, dtype=complex)
+    ops = boundary_operators(mm, grid)
+    interior = np.block([
+        [-0.5 * I - ops["K"], ops["V"]],
+        [ops["W"] - symbol_matrix(Um, grid.n), -0.5 * I - ops["Kt"]]])
+    ops = boundary_operators(mp, grid)
+    plain = np.block([
+        [0.5 * I - ops["K"], ops["V"]],
+        [ops["W"] + symbol_matrix(Up, grid.n), 0.5 * I - ops["Kt"]]])
+    for mat, side, ups, ups_out, A in ((mm, -1, Um, Up, interior),
+                                       (mp, +1, Up, Um, plain)):
+        C = calderon_matrix(mat, grid)
+        S = _robin_map(C, side, ups, ups_out)
+        assert np.array_equal(C, A)
+        rhs = np.zeros((2 * L, L), dtype=complex)
+        rhs[L:] = side * I
+        X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
+        assert np.array_equal(S.data_map, X)
+        assert np.array_equal(S.matrix, ups_out @ X[:L] + X[L:])
+    assert np.array_equal(rtr_interior(mm, grid, Up, Um).data_map,
+                          _robin_map(calderon_matrix(mm, grid), -1, Um,
+                                     Up).data_map)
+
+
+def test_eps_vtilde_is_beta_delta_times_inverse_upsilon_plus(mats):
+    # Vtilde = beta- Lambda_kappa (1/2 I - alpha- H) = beta- delta- Upsilon_+^{-1}
+    mp, mm = mats
+    n_max = 64
+    Up, _ = transmission_operators(mp, mm, mm.kappa, n_max=n_max)
+    H = make_symbol("H", n_max=n_max)
+    Lk = make_symbol("LambdaKappa", kappa=mm.kappa, n_max=n_max)
+    vtilde = mm.beta * (Lk @ (0.5 * identity_symbol(n_max) - mm.alpha * H))
+    ident = (mm.beta * mm.delta) * Up.inv()
+    assert np.abs(vtilde.values - ident.values).max() < 1e-14
 
 
 def test_interior_rtr_against_manufactured_solution(grid, mats, robin):
@@ -122,7 +167,8 @@ def test_unknown_variant_fails_before_assembly(grid, mats, monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("operators assembled for a variant that cannot run")
 
-    monkeypatch.setattr("elastobie.ddm.boundary_operators", no_assembly)
+    monkeypatch.setattr("elastobie.formulations.boundary_operators",
+                        no_assembly)
     mp, mm = mats
     inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError, match="'triple'"):

@@ -187,9 +187,10 @@ TRANSMISSION = dict(SMOKE, problem="transmission",
     ("incidence.direction", dict(SMOKE, incidence={"type": "S"})),
     ("cases[1].n", dict(SMOKE, cases=[{"omega": 4, "n": 8}, {"omega": 4}])),
     ("formulations[0].name", dict(SMOKE, formulations=[{"label": "A"}])),
+    ("cases", {k: v for k, v in SMOKE.items() if k != "cases"}),
 ])
 def test_missing_config_field_fails_early(monkeypatch, field, config):
-    for module in ("harness", "formulations", "ddm"):
+    for module in ("harness", "formulations"):
         monkeypatch.setattr(f"elastobie.{module}.boundary_operators",
                             _no_assembly)
     with pytest.raises(ValueError, match=f"required field '{re.escape(field)}'"):
@@ -206,9 +207,27 @@ def test_missing_config_field_fails_early(monkeypatch, field, config):
                                     materials={"exterior": {"mu": 1.0}})),
     ("materials.interior.mu", dict(TRANSMISSION, materials={
         "exterior": {"lam": 1.0, "mu": 1.0}, "interior": {"lam": 2.0}})),
+    # the first case could run: nothing may run before the bad one is named
+    ("cases[1].n", dict(SMOKE, cases=[{"omega": 4, "n": 8},
+                                      {"omega": 4, "n": 2}])),
+    ("cases[1].n", dict(SMOKE, cases=[{"omega": 4, "n": 8},
+                                      {"omega": 4, "n": 8.7}])),
+    ("cases[1].omega", dict(SMOKE, cases=[{"omega": 4, "n": 8},
+                                          {"omega": 0, "n": 8}])),
+    ("materials.exterior", dict(SMOKE, materials={
+        "exterior": {"lam": 1.0, "mu": 0.0}})),
+    ("materials.interior", dict(TRANSMISSION, materials={
+        "exterior": {"lam": 1.0, "mu": 1.0},
+        "interior": {"lam": -3.0, "mu": 2.0}})),
+    ("geometry.kind", dict(SMOKE, geometry={"kind": "blob"})),
+    # normalizing a zero direction gives NaN, which no cell can run
+    ("incidence.direction", dict(SMOKE, incidence={"type": "P",
+                                                   "direction": [0.0, 0.0]})),
+    ("incidence.direction", dict(SMOKE, incidence={
+        "type": "P", "direction": [float("nan"), 1.0]})),
 ])
 def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
-    for module in ("harness", "formulations", "ddm"):
+    for module in ("harness", "formulations"):
         monkeypatch.setattr(f"elastobie.{module}.boundary_operators",
                             _no_assembly)
     with pytest.raises(ValueError, match=re.escape(field)):

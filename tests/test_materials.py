@@ -113,6 +113,10 @@ def test_error_paths():
     with pytest.raises(ValueError):
         plane_wave(m, [1.0, 1.0], [1.0, 0.0])  # non-unit direction
     with pytest.raises(ValueError):
+        plane_wave(m, [np.nan, 1.0], [1.0, 0.0])  # NaN compares False
+    with pytest.raises(ValueError):
+        make_material(lam=np.nan, mu=1.0, omega=1.0)
+    with pytest.raises(ValueError):
         plane_wave(m, [1.0, 0.0], [0.0, 0.0])  # zero polarization
     with pytest.raises(ValueError):
         point_source(m, [0.0, 0.0], [0.0, 0.0])
