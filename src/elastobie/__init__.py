@@ -36,7 +36,6 @@ from .formulations import (
     assemble_neumann,
     assemble_transmission,
     reconstruct_fields,
-    discrete_dtn_exterior,
 )
 from .ddm import (
     RtRMap,
@@ -46,7 +45,7 @@ from .ddm import (
     bplus_principal_symbol,
 )
 from .postprocess import FarField, eval_potential, far_field, eps_inf
-from .harness import ReportRow, run_experiment, emit_table, parse_table, PRESETS
+from .harness import ReportRow, run_experiment, emit_table, PRESETS
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

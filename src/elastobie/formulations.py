@@ -53,7 +53,6 @@ __all__ = [
     "assemble_neumann",
     "assemble_transmission",
     "reconstruct_fields",
-    "discrete_dtn_exterior",
 ]
 
 
@@ -312,25 +311,3 @@ def reconstruct_fields(system: LinearSystem, solution: np.ndarray) -> PotentialR
     """Layer-potential representation of the solved (scattered/interior)
     fields; exterior terms carry region='exterior', interior 'interior'."""
     return PotentialRepresentation(terms=system.represent(np.asarray(solution)))
-
-
-_COND_LIMIT = 1e12  # condition number above which a DtN formula is refused
-
-
-def discrete_dtn_exterior(material: Material, grid) -> np.ndarray:
-    """Discrete exterior Dirichlet-to-Neumann map Y+.
-
-    Primary formula Y+ = -V^{-1}(1/2 I - K); falls back to
-    (1/2 I + K^T)^{-1} W when V is ill-conditioned (omega^2 near an
-    interior Dirichlet eigenvalue)."""
-    N = grid.size
-    ops = boundary_operators(material, grid)
-    I = _eye(2 * N)
-    if np.linalg.cond(ops["V"]) < _COND_LIMIT:
-        Y = np.linalg.solve(ops["V"], -(0.5 * I - ops["K"]))
-    else:
-        A = 0.5 * I + ops["Kt"]
-        if np.linalg.cond(A) >= _COND_LIMIT:
-            raise ValueError("both DtN formulas ill-conditioned at this omega")
-        Y = np.linalg.solve(A, ops["W"])
-    return Y

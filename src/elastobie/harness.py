@@ -29,8 +29,12 @@ but "table", "solver", "timing" and "output"; "interior" for transmission
 only, and "lam" and "mu" of each material) or holds a value no cell can run
 (an unknown problem, incidence type, formulation name or curve kind, a
 material with mu <= 0 or lam + mu <= 0, a zero plane-wave direction, an
-omega that is not positive, an n that is not an integer >= 4), before any
-cell runs, naming the field.
+omega that is not positive, an n that is not an integer >= 4, a CFIE
+coupling that is not a nonzero finite number, a CFIER, DCFIER, ICFIER or OS
+coupling kappa without Re kappa > 0 and Im kappa > 0, a solver.tol that is
+not a positive finite number, a solver.maxiter that is not a positive
+integer), before any cell runs, naming the field.  JSON has no complex
+numbers, so a kappa coupling is given as a string such as "10+2j".
 
 Rows are deterministic given a config except for the wall-time column; set
 "timing": "none" to zero it and obtain bit-identical CSV across runs.
@@ -53,13 +57,14 @@ from .formulations import (assemble_dirichlet, assemble_neumann,
                            PotentialRepresentation, PotentialTerm)
 from .geometry import make_curve, sample_grid
 from .materials import make_material, plane_wave, point_source, trace_and_traction
+from .multipliers import make_symbol
 from .postprocess import (FarField, _gammas, default_directions, eps_inf,
                           far_field)
 from .quadrature import flatten_density, unflatten_density
 from .solvers import gmres, lu_solve
 
-__all__ = ["ReportRow", "run_experiment", "emit_table", "parse_table",
-           "load_config", "PRESETS", "THREADS_ENV_VAR"]
+__all__ = ["ReportRow", "run_experiment", "emit_table", "load_config",
+           "PRESETS", "THREADS_ENV_VAR"]
 
 THREADS_ENV_VAR = "ELASTOBIE_THREADS"
 
@@ -185,11 +190,35 @@ def _check_config(config: dict) -> None:
         if form["name"] not in _FORMULATIONS[problem]:
             raise ValueError(f"formulations[{i}].name {form['name']!r} is not "
                              f"a {problem} formulation")
-        # emit_table writes labels unquoted; parse_table splits on these
+        # emit_table writes labels unquoted: these would split a CSV row
         label = form.get("label", "")
         if "," in label or "".join(label.splitlines()) != label:
             raise ValueError(f"formulations[{i}].label {label!r} holds a "
                              "comma or a line break")
+        # CFIE reads the coupling as eta, SC, KR and the manufactured columns
+        # ignore it, and the regularized formulations and OS read it as kappa
+        coupling = form.get("coupling")
+        if coupling is None or form["name"] in ("SC", "KR",
+                                                *_MANUFACTURED_LAYERS):
+            continue
+        try:
+            if form["name"] == "CFIE":
+                eta = complex(coupling)
+                if eta == 0 or not np.isfinite(eta):
+                    raise ValueError("eta is not a nonzero finite number")
+            else:
+                make_symbol("LambdaKappa", kappa=coupling, n_max=0)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"formulations[{i}].coupling {coupling!r}: "
+                             f"{exc}") from None
+    solver = config.get("solver", {})
+    tol, maxiter = solver.get("tol", 1e-8), solver.get("maxiter")
+    if not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
+        raise ValueError(f"solver.tol {tol!r} is not a positive finite number")
+    if not (maxiter is None
+            or isinstance(maxiter, numbers.Integral) and maxiter >= 1):
+        raise ValueError(f"solver.maxiter {maxiter!r} is not a positive "
+                         "integer")
 
 
 def _manufactured_cell(form, material, grid, source, reference: FarField):
@@ -341,20 +370,6 @@ def emit_table(rows, path=None, fmt: str = "csv", table_name: str | None = None)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     return text
-
-
-def parse_table(text: str) -> list[ReportRow]:
-    """Inverse of emit_table for the CSV format (round-trip checks)."""
-    rows = []
-    for line in text.splitlines():
-        if not line or line.startswith("#") or line.startswith("omega,"):
-            continue
-        omega, n, form, iters, err, secs = line.split(",")
-        rows.append(ReportRow(omega=float(omega), n=int(n), formulation=form,
-                              iterations=int(iters),
-                              eps_inf=None if err == "" else float(err),
-                              seconds=float(secs)))
-    return rows
 
 
 def _dirichlet_preset(geometry: str, table: str) -> dict:

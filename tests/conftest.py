@@ -1,9 +1,35 @@
-"""Shared fixtures: small cached grids and materials for the unit tests."""
+"""Shared fixtures: small cached grids and materials for the unit tests,
+and the discrete exterior Dirichlet-to-Neumann oracle."""
 
 import numpy as np
 import pytest
 
 from elastobie import make_curve, make_material, sample_grid
+from elastobie.formulations import boundary_operators
+
+_COND_LIMIT = 1e12  # condition number above which a DtN formula is refused
+
+
+def _discrete_dtn_exterior(material, grid) -> np.ndarray:
+    """Discrete exterior Dirichlet-to-Neumann map Y+.
+
+    Primary formula Y+ = -V^{-1}(1/2 I - K); falls back to
+    (1/2 I + K^T)^{-1} W when V is ill-conditioned (omega^2 near an
+    interior Dirichlet eigenvalue)."""
+    ops = boundary_operators(material, grid)
+    I = np.eye(2 * grid.size, dtype=complex)
+    if np.linalg.cond(ops["V"]) < _COND_LIMIT:
+        return np.linalg.solve(ops["V"], -(0.5 * I - ops["K"]))
+    A = 0.5 * I + ops["Kt"]
+    if np.linalg.cond(A) >= _COND_LIMIT:
+        raise ValueError("both DtN formulas ill-conditioned at this omega")
+    return np.linalg.solve(A, ops["W"])
+
+
+@pytest.fixture(scope="session")
+def discrete_dtn_exterior():
+    """The oracle Y+(material, grid), shared by two test modules."""
+    return _discrete_dtn_exterior
 
 
 @pytest.fixture(scope="session")

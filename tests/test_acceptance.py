@@ -19,8 +19,7 @@ from elastobie import (assemble_ddm, assemble_dirichlet, assemble_transmission,
                        gmres, lu_solve, make_curve, make_material, make_symbol,
                        plane_wave, reconstruct_fields, sample_grid)
 from elastobie.ddm import rtr_exterior, rtr_interior
-from elastobie.formulations import (boundary_operators, calderon_matrix,
-                                    discrete_dtn_exterior)
+from elastobie.formulations import boundary_operators, calderon_matrix
 from elastobie.harness import PRESETS, run_experiment
 from elastobie.multipliers import (Symbol, _calderon_symbol,
                                    make_transmission_regularizer, ps_dtn,
@@ -305,7 +304,7 @@ def _band_limited(rng, N, band):
     return g
 
 
-def test_criterion_08_coercivity_signs():
+def test_criterion_08_coercivity_signs(discrete_dtn_exterior):
     rng = np.random.default_rng(3)
     mat = make_material(lam=2.0, mu=1.0, omega=4.0)
     grid = sample_grid(make_curve("circle"), 48)

@@ -14,7 +14,7 @@ from elastobie import (assemble_ddm, assemble_dirichlet, assemble_neumann,
                        far_field, lu_solve, make_curve, make_material,
                        plane_wave, point_source, reconstruct_fields,
                        sample_grid, trace_and_traction)
-from elastobie.formulations import calderon_matrix, discrete_dtn_exterior
+from elastobie.formulations import calderon_matrix
 from elastobie.harness import _point_source_far_field
 from elastobie.postprocess import default_directions
 from elastobie.quadrature import flatten_density
@@ -146,7 +146,7 @@ def test_calderon_acts_as_half_on_exterior_and_interior_data(grid, mat):
     assert np.linalg.norm(C @ q + 0.5 * q) < 5e-6 * np.linalg.norm(q)
 
 
-def test_discrete_dtn_maps_trace_to_traction(grid, mat):
+def test_discrete_dtn_maps_trace_to_traction(grid, mat, discrete_dtn_exterior):
     Y = discrete_dtn_exterior(mat, grid)
     src = point_source(mat, [0.1, -0.2], [1.0, 0.7])
     cd = trace_and_traction(src, grid, mat)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from elastobie.cli import main
 from elastobie.harness import (CSV_COLUMNS, PRESETS, ReportRow, emit_table,
-                               parse_table, run_experiment)
+                               run_experiment)
 
 SMOKE = {
     "table": "smoke",
@@ -23,6 +23,20 @@ SMOKE = {
     "solver": {"tol": 1e-8},
     "timing": "none",
 }
+
+
+def parse_table(text: str) -> list[ReportRow]:
+    """Inverse of emit_table for the CSV format."""
+    rows = []
+    for line in text.splitlines():
+        if not line or line.startswith("#") or line.startswith("omega,"):
+            continue
+        omega, n, form, iters, err, secs = line.split(",")
+        rows.append(ReportRow(omega=float(omega), n=int(n), formulation=form,
+                              iterations=int(iters),
+                              eps_inf=None if err == "" else float(err),
+                              seconds=float(secs)))
+    return rows
 
 
 def test_report_row_validation():
@@ -177,6 +191,8 @@ def test_label_the_csv_cannot_hold_fails_early(monkeypatch, label):
 TRANSMISSION = dict(SMOKE, problem="transmission",
                     materials={"exterior": {"lam": 1.0, "mu": 1.0}},
                     formulations=[{"name": "KR"}])
+TRANSMISSION_KR = dict(TRANSMISSION, materials={
+    "exterior": {"lam": 1.0, "mu": 1.0}, "interior": {"lam": 2.0, "mu": 8.0}})
 
 
 @pytest.mark.parametrize("field, config", [
@@ -225,6 +241,19 @@ def test_missing_config_field_fails_early(monkeypatch, field, config):
                                                    "direction": [0.0, 0.0]})),
     ("incidence.direction", dict(SMOKE, incidence={
         "type": "P", "direction": [float("nan"), 1.0]})),
+    ("formulations[1].coupling", dict(SMOKE, formulations=[
+        {"name": "CFIER"}, {"name": "CFIE", "coupling": 0}])),
+    # a kappa coupling needs Re kappa > 0 and Im kappa > 0
+    ("formulations[1].coupling", dict(SMOKE, formulations=[
+        {"name": "CFIE"}, {"name": "CFIER", "coupling": 5.0}])),
+    ("formulations[1].coupling", dict(TRANSMISSION_KR, formulations=[
+        {"name": "KR"}, {"name": "ICFIER", "coupling": 5.0}])),
+    ("formulations[1].coupling", dict(TRANSMISSION_KR, formulations=[
+        {"name": "KR"}, {"name": "OS", "coupling": "5-1j"}])),
+    ("solver.tol", dict(SMOKE, solver={"tol": "1e-8"})),
+    ("solver.tol", dict(SMOKE, solver={"tol": -1})),
+    ("solver.maxiter", dict(SMOKE, solver={"tol": 1e-8, "maxiter": "50"})),
+    ("solver.maxiter", dict(SMOKE, solver={"tol": 1e-8, "maxiter": 2.5})),
 ])
 def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
     for module in ("harness", "formulations"):
@@ -235,7 +264,7 @@ def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
 
 
 def test_first_preset_cases_identical_across_thread_counts():
-    for name in ("dirichlet-circle", "neumann-cavity", "transmission-starfish"):
+    for name in PRESETS:
         config = dict(PRESETS[name], cases=PRESETS[name]["cases"][:1],
                       timing="none")
         one, two = (emit_table(run_experiment(config, threads=t),
@@ -269,6 +298,7 @@ def test_cli_run_and_preset(tmp_path):
     assert runner.invoke(main, ["preset", "no-such-table"]).exit_code != 0
     assert runner.invoke(main, ["run"]).exit_code != 0
     assert runner.invoke(main, ["preset"]).exit_code != 0
+    assert set(main.commands) == {"run", "preset"}
 
 
 def test_threads_environment_variable(monkeypatch):
@@ -276,8 +306,3 @@ def test_threads_environment_variable(monkeypatch):
     rows = run_experiment(SMOKE)
     assert len(rows) == 1
 
-
-def test_cli_selftest_passes():
-    res = CliRunner().invoke(main, ["selftest"])
-    assert res.exit_code == 0, res.output
-    assert "all checks passed" in res.output
