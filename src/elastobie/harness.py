@@ -23,7 +23,8 @@ following schema; see PRESETS for complete examples.
 Formulation names by problem: manufactured V | K | W; dirichlet CFIE | CFIER;
 neumann CFIE | CFIER | DCFIER; transmission SC | KR | DCFIER | ICFIER | OS.
 A missing "coupling" uses the quasi-optimal coupling (CFIE) or the default
-complexified wavenumber rule (CFIER/OS).  A label holds no comma or line break.
+complexified wavenumber rule (CFIER/OS).  A label is a string with no comma
+or line break.
 run_experiment rejects a config that lacks a required field (every key above
 but "table", "solver", "timing" and "output"; "interior" for transmission
 only, and "lam" and "mu" of each material) or holds a value no cell can run
@@ -33,7 +34,8 @@ omega that is not positive, an n that is not an integer >= 4, a CFIE
 coupling that is not a nonzero finite number, a CFIER, DCFIER, ICFIER or OS
 coupling kappa without Re kappa > 0 and Im kappa > 0, a solver.tol that is
 not a positive finite number, a solver.maxiter that is not a positive
-integer), before any cell runs, naming the field.  JSON has no complex
+integer, a solver that is not an object, a timing other than "wall" or
+"none"), before any cell runs, naming the field.  JSON has no complex
 numbers, so a kappa coupling is given as a string such as "10+2j".
 
 Rows are deterministic given a config except for the wall-time column; set
@@ -192,6 +194,9 @@ def _check_config(config: dict) -> None:
                              f"a {problem} formulation")
         # emit_table writes labels unquoted: these would split a CSV row
         label = form.get("label", "")
+        if not isinstance(label, str):
+            raise ValueError(f"formulations[{i}].label {label!r} is not a "
+                             "string")
         if "," in label or "".join(label.splitlines()) != label:
             raise ValueError(f"formulations[{i}].label {label!r} holds a "
                              "comma or a line break")
@@ -212,6 +217,8 @@ def _check_config(config: dict) -> None:
             raise ValueError(f"formulations[{i}].coupling {coupling!r}: "
                              f"{exc}") from None
     solver = config.get("solver", {})
+    if not isinstance(solver, dict):
+        raise ValueError(f"solver {solver!r} is not an object")
     tol, maxiter = solver.get("tol", 1e-8), solver.get("maxiter")
     if not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
         raise ValueError(f"solver.tol {tol!r} is not a positive finite number")
@@ -219,6 +226,9 @@ def _check_config(config: dict) -> None:
             or isinstance(maxiter, numbers.Integral) and maxiter >= 1):
         raise ValueError(f"solver.maxiter {maxiter!r} is not a positive "
                          "integer")
+    timing = config.get("timing", "wall")
+    if timing not in ("wall", "none"):
+        raise ValueError(f"timing {timing!r} is not 'wall' or 'none'")
 
 
 def _manufactured_cell(form, material, grid, source, reference: FarField):

@@ -48,40 +48,39 @@ def default_directions(m: int = 360):
     return angles, np.stack([np.cos(angles), np.sin(angles)], axis=-1)
 
 
-def _term_kernel(term, points):
-    """(2, 2, M, N) potential kernel of one representation term."""
-    grid = term.grid
-    x_r = np.asarray(points, dtype=float).T[:, :, None]
-    # Off the surface there is no row normal; only W would read one.
-    pf = _PairFields(term.material, x_r, None, grid.x.T[:, None, :],
-                     grid.nu.T[:, None, :])
-    tag = "V" if term.layer == "SL" else "K"
-    return _kernel_values(pf, radial_suite(term.material, pf.r), (tag,))[tag]
-
-
 def eval_potential(representation, points, region: str = "exterior") -> np.ndarray:
     """Evaluate the layer-potential representation at off-surface points.
 
     Only terms tagged with the requested region contribute (transmission
-    representations carry both exterior and interior terms).
+    representations carry both exterior and interior terms).  The terms of
+    one (material, grid) share one pair geometry and radial suite.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     terms = [t for t in representation.terms if t.region == region]
     if not terms:
         raise ValueError(f"representation has no {region!r} terms")
+    tags = ["V" if t.layer == "SL" else "K" for t in terms]
+    keys = [(id(t.material), id(t.grid)) for t in terms]
+    kernels = {}
     out = np.zeros((points.shape[0], 2), dtype=complex)
-    for term in terms:
+    for term, tag, key in zip(terms, tags, keys):
         grid = term.grid
-        dmin = np.min(np.linalg.norm(points[:, None, :] - grid.x[None, :, :],
-                                     axis=-1))
-        hmax = np.max(grid.speed) * np.pi / grid.n
-        if dmin <= 0.0:
-            raise ValueError("evaluation point lies on the boundary grid")
-        if dmin < 5.0 * hmax:
-            warnings.warn("evaluation point within 5 grid spacings of the "
-                          "boundary; plain trapezoid quadrature degrades",
-                          stacklevel=2)
-        ker = _term_kernel(term, points)  # (2, 2, M, N)
+        if key not in kernels:
+            dmin = np.min(np.linalg.norm(points[:, None, :] - grid.x[None, :, :],
+                                         axis=-1))
+            hmax = np.max(grid.speed) * np.pi / grid.n
+            if dmin <= 0.0:
+                raise ValueError("evaluation point lies on the boundary grid")
+            if dmin < 5.0 * hmax:
+                warnings.warn("evaluation point within 5 grid spacings of the "
+                              "boundary; plain trapezoid quadrature degrades",
+                              stacklevel=2)
+            # Off the surface there is no row normal; only W would read one.
+            pf = _PairFields(term.material, points.T[:, :, None], None,
+                             grid.x.T[:, None, :], grid.nu.T[:, None, :])
+            kernels[key] = _kernel_values(pf, radial_suite(term.material, pf.r),
+                                          {t for t, k in zip(tags, keys) if k == key})
+        ker = kernels[key][tag]  # (2, 2, M, N)
         w = np.pi / grid.n
         out += w * (ker[:, 0] @ term.density[:, 0] + ker[:, 1] @ term.density[:, 1]).T
     return out
@@ -96,7 +95,12 @@ def _gammas(material):
 
 
 def far_field(representation, directions=None, region: str = "exterior") -> FarField:
-    """P- and S-wave far-field patterns of the representation's radiating part."""
+    """P- and S-wave far-field patterns of the representation's radiating part.
+
+    One product per term and wave with E = exp(-ik xhat.y): E g, or for a DL
+    F = Sum E nu g^T, whose tr F, xhat^T F xhat, xhat^T F and F xhat are the
+    sums of E (nu.g), E (nu.xhat)(xhat.g), E (nu.xhat) g and E (xhat.g) nu.
+    """
     if directions is None:
         angles, dirs = default_directions()
     else:
@@ -114,39 +118,35 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
         lam, mu = mat.lam, mat.mu
         w = np.pi / grid.n
         if term.layer == "DL":
-            nu = grid.nu
-            nug = np.einsum("ni,ni->n", nu, g)  # nu.g per node
-            nux = dirs @ nu.T                   # (M, N) nu.xhat
-            xg = dirs @ g.T                     # (M, N) xhat.g
-        for wave, k, gam in zip("ps", (mat.kp, mat.ks), _gammas(mat)):
+            B = (grid.nu[:, :, None] * g[:, None, :]).reshape(-1, 4)  # nu g^T
+        for wave, k, gam, acc in zip("ps", (mat.kp, mat.ks), _gammas(mat),
+                                     (up, us)):
             E = phases.get((k, id(grid)))
-            if E is None:
-                E = phases[k, id(grid)] = np.exp(-1j * k * (dirs @ grid.x.T))
+            if E is None:  # cos and sin of the real phase cost less than exp
+                phase = -k * (dirs @ grid.x.T)
+                E = phases[k, id(grid)] = np.empty(phase.shape, dtype=complex)
+                np.cos(phase, out=E.real)
+                np.sin(phase, out=E.imag)
             if term.layer == "SL":
                 mom = w * (E @ g)  # (M, 2)
-                if wave == "p":
-                    coef = np.einsum("mi,mi->m", dirs, mom)
-                    contrib = gam * dirs * coef[:, None]
-                else:
-                    contrib = gam * (mom - dirs * np.einsum(
-                        "mi,mi->m", dirs, mom)[:, None])
-            else:  # DL
-                Enx = E * nux
-                c = (Enx * xg).sum(axis=1)  # Sum E (nu.xhat)(xhat.g)
+                coef = np.einsum("mi,mi->m", dirs, mom)[:, None]
+                contrib = (gam * dirs * coef if wave == "p"
+                           else gam * (mom - dirs * coef))
+            else:  # DL, from F = Sum E nu g^T
+                F = (E @ B).reshape(M, 2, 2)
+                Fx = np.einsum("mab,mb->ma", F, dirs)  # F xhat
+                c = np.einsum("ma,ma->m", dirs, Fx)    # xhat^T F xhat
                 if wave == "p":
                     # -ik gam xhat Sum E w [lam (nu.g) + 2 mu (nu.xhat)(xhat.g)]
-                    s = lam * (E @ nug) + 2.0 * mu * c
+                    s = lam * (F[:, 0, 0] + F[:, 1, 1]) + 2.0 * mu * c
                     contrib = (-1j * k * gam * w) * dirs * s[:, None]
                 else:
-                    # -ik gam Sum E w mu [(nu.xhat) P g + (P nu)(xhat.g)],
-                    # with (nu.xhat) P g + (P nu)(xhat.g)
-                    #    = (nu.xhat) g + (xhat.g) nu - 2 xhat (nu.xhat)(xhat.g)
-                    s = mu * (Enx @ g + (E * xg) @ nu - 2.0 * dirs * c[:, None])
+                    # -ik gam Sum E w mu [(nu.xhat) P g + (P nu)(xhat.g)]
+                    #   = -ik gam w mu (xhat^T F + F xhat - 2 xhat xhat^T F xhat)
+                    xF = np.einsum("ma,mab->mb", dirs, F)  # xhat^T F
+                    s = mu * (xF + Fx - 2.0 * dirs * c[:, None])
                     contrib = (-1j * k * gam * w) * s
-            if wave == "p":
-                up += contrib
-            else:
-                us += contrib
+            acc += contrib
     return FarField(angles=angles, directions=dirs, up=up, us=us)
 
 

@@ -4,9 +4,10 @@ GMRES is written out in full (no restart) because iteration counts are a
 reported quantity of the benchmark harness and must not depend on a
 library's restart/termination conventions.  The Arnoldi basis is kept
 orthogonal by classical Gram-Schmidt applied twice (CGS2, "twice is
-enough"), two matrix-vector products with the stored basis per pass; the
-Givens rotations run on plain Python complex scalars.  Convergence is
-declared on the right-hand-side-relative residual ||b - A x|| / ||b||.
+enough"), two matrix-vector products with the stored basis per pass.  The
+product Q of the Givens rotations (lower Hessenberg) rotates a new column in
+one product, a new rotation changes two rows of Q, the rotated right-hand
+side is ||b|| Q[:, 0], and convergence is declared on ||b - A x|| / ||b||.
 """
 
 from __future__ import annotations
@@ -55,9 +56,10 @@ def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
 
     V = np.empty((maxiter + 1, N), dtype=complex)
     H = np.zeros((maxiter + 1, maxiter), dtype=complex)
-    cs, sn = [], []  # Givens rotations (sn is real: it eliminates hnorm)
-    g = complex(bnorm)  # last entry of the rotated right-hand side
-    gs = []  # its settled entries
+    # Q grows by doubling, with the iterations run, not with maxiter
+    size = min(maxiter + 1, 64)
+    Q = np.zeros((size, size), dtype=complex)
+    Q[0, 0] = 1.0
     history = []
     V[0] = b / bnorm
     res = 1.0
@@ -71,27 +73,25 @@ def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
         c = (Vk @ w.conj()).conj()
         w = w - c @ Vk
         hnorm = float(np.linalg.norm(w))
-        col = (h + c).tolist()
-        col.append(hnorm)
-        # apply the stored rotations to the new column
-        for i in range(k):
-            t = cs[i] * col[i] + sn[i] * col[i + 1]
-            col[i + 1] = -sn[i] * col[i] + cs[i].conjugate() * col[i + 1]
-            col[i] = t
-        # new rotation eliminating the subdiagonal entry
-        a = col[k]
+        col = Q[:k + 1, :k + 1] @ (h + c)  # the rotations so far, applied
+        # new rotation (cs, sn) eliminating the subdiagonal entry hnorm
+        a = complex(col[k])
         r = (abs(a) ** 2 + hnorm ** 2) ** 0.5
         if r == 0.0:
             reason = "breakdown"
             break
-        cs.append(a.conjugate() / r)
-        sn.append(hnorm / r)
-        col[k] = cs[k] * a + sn[k] * hnorm
-        col[k + 1] = 0.0
-        H[:k + 2, k] = col
-        gs.append(cs[k] * g)
-        g = -sn[k] * g
-        res = abs(g) / bnorm
+        cs, sn = a.conjugate() / r, hnorm / r
+        if k + 2 > size:
+            size = min(2 * size, maxiter + 1)
+            Q = np.pad(Q, (0, size - len(Q)))
+        H[:k, k] = col[:k]
+        H[k, k] = cs * a + sn * hnorm
+        # the rotation changes rows k and k+1 of Q (row k+1 was e_{k+1})
+        Q[k + 1, :k + 1] = -sn * Q[k, :k + 1]
+        Q[k + 1, k + 1] = cs.conjugate()
+        Q[k, :k + 1] *= cs
+        Q[k, k + 1] = sn
+        res = float(abs(Q[k + 1, 0]))
         history.append(res)
         if res <= tol:
             reason = "tol"
@@ -102,9 +102,9 @@ def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
         if k + 1 < maxiter:
             V[k + 1] = w / hnorm
     # back-substitution for the projected triangular system
-    k_done = len(gs)
+    k_done = len(history)
     y = scipy.linalg.solve_triangular(H[:k_done, :k_done],
-                                      np.array(gs, dtype=complex))
+                                      bnorm * Q[:k_done, 0])
     x = y @ V[:k_done]
     return SolveReport(x=x, iterations=k_done, residual=res,
                        converged=reason == "tol", history=tuple(history),

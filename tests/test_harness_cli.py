@@ -254,6 +254,10 @@ def test_missing_config_field_fails_early(monkeypatch, field, config):
     ("solver.tol", dict(SMOKE, solver={"tol": -1})),
     ("solver.maxiter", dict(SMOKE, solver={"tol": 1e-8, "maxiter": "50"})),
     ("solver.maxiter", dict(SMOKE, solver={"tol": 1e-8, "maxiter": 2.5})),
+    ("solver", dict(SMOKE, solver=5)),
+    ("formulations[1].label", dict(SMOKE, formulations=[
+        {"name": "CFIE"}, {"name": "CFIER", "label": 5}])),
+    ("timing", dict(SMOKE, timing="nope")),
 ])
 def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
     for module in ("harness", "formulations"):

@@ -9,12 +9,14 @@ analytic point-source values.
 import numpy as np
 import pytest
 
-from elastobie import (eps_inf, eval_potential, far_field, make_curve,
-                       make_material, point_source, sample_grid,
-                       trace_and_traction)
+import elastobie.postprocess as postprocess
+from elastobie import (assemble_transmission, eps_inf, eval_potential,
+                       far_field, lu_solve, make_curve, make_material,
+                       plane_wave, point_source, reconstruct_fields,
+                       sample_grid, trace_and_traction)
 from elastobie.formulations import PotentialRepresentation, PotentialTerm
 from elastobie.harness import _point_source_far_field
-from elastobie.postprocess import default_directions
+from elastobie.postprocess import _gammas, default_directions
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +95,96 @@ def test_far_field_is_the_in_order_sum_of_its_terms():
         us += one.us
     assert np.array_equal(ff.up, up)
     assert np.array_equal(ff.us, us)
+
+
+def _elementwise_far_field(representation, dirs):
+    """Oracle: the double layer's sums formed from M x N elementwise arrays
+    of nu.xhat and xhat.g, term by term and wave by wave."""
+    M = dirs.shape[0]
+    up = np.zeros((M, 2), dtype=complex)
+    us = np.zeros((M, 2), dtype=complex)
+    for term in representation.terms:
+        mat, grid, g = term.material, term.grid, term.density
+        lam, mu = mat.lam, mat.mu
+        w = np.pi / grid.n
+        nu = grid.nu
+        nug = np.einsum("ni,ni->n", nu, g)
+        nux = dirs @ nu.T
+        xg = dirs @ g.T
+        for wave, k, gam in zip("ps", (mat.kp, mat.ks), _gammas(mat)):
+            E = np.exp(-1j * k * (dirs @ grid.x.T))
+            if term.layer == "SL":
+                mom = w * (E @ g)
+                xm = np.einsum("mi,mi->m", dirs, mom)[:, None]
+                contrib = gam * (dirs * xm if wave == "p" else mom - dirs * xm)
+            else:
+                Enx = E * nux
+                c = (Enx * xg).sum(axis=1)
+                if wave == "p":
+                    s = lam * (E @ nug) + 2.0 * mu * c
+                    contrib = (-1j * k * gam * w) * dirs * s[:, None]
+                else:
+                    s = mu * (Enx @ g + (E * xg) @ nu - 2.0 * dirs * c[:, None])
+                    contrib = (-1j * k * gam * w) * s
+            if wave == "p":
+                up += contrib
+            else:
+                us += contrib
+    return up, us
+
+
+def test_far_field_matches_the_elementwise_oracle():
+    rng = np.random.default_rng(7)
+    grids = [sample_grid(make_curve(kind), 24) for kind in ("circle", "starfish")]
+    mats = [make_material(lam=2.0, mu=1.0, omega=6.0),
+            make_material(lam=1.0, mu=3.0, omega=6.0)]
+    for mat in mats:
+        for grid in grids:
+            for layer in ("DL", "SL"):
+                density = (rng.standard_normal((grid.size, 2))
+                           + 1j * rng.standard_normal((grid.size, 2)))
+                rep = PotentialRepresentation(
+                    terms=(PotentialTerm(layer, mat, grid, density),))
+                ff = far_field(rep)
+                up, us = _elementwise_far_field(rep, ff.directions)
+                for new, old in ((ff.up, up), (ff.us, us)):
+                    assert (np.abs(new - old).max()
+                            <= 1e-13 * np.abs(old).max()), (layer, mat, grid)
+
+
+def test_eval_potential_is_the_per_term_sum_with_one_kernel_per_grid(monkeypatch):
+    # ICFIER carries exterior terms of one material and interior terms of
+    # another; an extra interior term on a second grid of the same size must
+    # get its own kernel, not the one of the first grid.
+    outside = make_material(lam=1.0, mu=1.0, omega=4.0)
+    inside = make_material(lam=2.0, mu=8.0, omega=4.0)
+    grid = sample_grid(make_curve("starfish"), 48)
+    system = assemble_transmission("ICFIER", outside, inside, grid,
+                                   incident=plane_wave(outside, [1.0, 0.0],
+                                                       [1.0, 0.0]))
+    rep = reconstruct_fields(system, lu_solve(system.operator.matrix,
+                                              system.rhs).x)
+    rng = np.random.default_rng(11)
+    second = PotentialTerm("SL", inside, sample_grid(make_curve("circle"), 48),
+                           rng.standard_normal((96, 2)) + 0j, "interior")
+    rep = PotentialRepresentation(terms=rep.terms + (second,))
+    calls = []
+    radial_suite = postprocess.radial_suite
+
+    def counted(material, r, *args, **kwargs):
+        calls.append(material)
+        return radial_suite(material, r, *args, **kwargs)
+
+    monkeypatch.setattr(postprocess, "radial_suite", counted)
+    points = {"exterior": np.array([[3.0, 0.5], [-2.5, -2.0]]),
+              "interior": np.array([[0.1, 0.05], [-0.1, -0.05]])}
+    for region, suites in (("exterior", 1), ("interior", 2)):
+        calls.clear()
+        u = eval_potential(rep, points[region], region=region)
+        assert len(calls) == suites, region
+        total = np.zeros_like(u)
+        for term in rep.terms:
+            if term.region == region:
+                total += eval_potential(PotentialRepresentation(terms=(term,)),
+                                        points[region], region=region)
+        assert np.array_equal(u, total), region

@@ -4,8 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from elastobie import gmres, lu_solve
+from elastobie import (assemble_neumann, gmres, lu_solve, make_curve,
+                       make_material, plane_wave, sample_grid,
+                       trace_and_traction)
 from elastobie.multipliers import Symbol, symbol_matrix
+
+# GMRES counts of Neumann CFIER on the cavity at (lam, mu) = (2, 1),
+# omega = 20, n = 128, tol 1e-8, for P and S plane waves from 0, 30, ..., 330
+# degrees (the seed values of the multistatic benchmark)
+CAVITY_COUNTS = {
+    "P": [94, 97, 96, 96, 96, 95, 93, 95, 96, 97, 96, 97],
+    "S": [95, 98, 97, 97, 97, 96, 94, 96, 97, 97, 97, 97],
+}
+
+
+@pytest.fixture(scope="module")
+def cavity():
+    """The cavity's Neumann CFIER operator and a right-hand side per wave."""
+    mat = make_material(2.0, 1.0, omega=20.0)
+    grid = sample_grid(make_curve("cavity"), 128)
+    rhs = {}
+    for pol in "PS":
+        for deg in range(0, 360, 30):
+            theta = np.deg2rad(deg)
+            d = np.array([np.cos(theta), np.sin(theta)])
+            wave = plane_wave(mat, d, d if pol == "P" else np.array([-d[1], d[0]]))
+            rhs[pol, deg] = -trace_and_traction(wave, grid, mat).traction.reshape(-1)
+    system = assemble_neumann("CFIER", mat, grid, incident=wave)
+    return system.operator.matrix, rhs
 
 
 def _well_conditioned(rng, m):
@@ -70,6 +96,25 @@ def test_residual_history(rng):
         assert len(history) == rep.iterations
         assert np.all(np.diff(history) <= 0.0)
         assert history[-1] == rep.residual
+
+
+def test_cavity_counts_are_pinned(cavity):
+    A, rhs = cavity
+    counts = {pol: [gmres(A, rhs[pol, deg], tol=1e-8).iterations
+                    for deg in range(0, 360, 30)] for pol in "PS"}
+    assert counts == CAVITY_COUNTS
+
+
+def test_history_is_the_true_residual(cavity):
+    # the rotated right-hand side tracks ||b - A x_k|| / ||b|| at every step
+    A, rhs = cavity
+    b = rhs["S", 30]
+    history = gmres(A, b, tol=1e-8).history
+    for k in (1, 2, 10, 40, 90):
+        rep = gmres(A, b, tol=1e-8, maxiter=k)
+        true_res = np.linalg.norm(b - A @ rep.x) / np.linalg.norm(b)
+        assert rep.history == history[:k]
+        assert abs(history[k - 1] - true_res) < 1e-10
 
 
 @pytest.mark.parametrize("A, b", [
