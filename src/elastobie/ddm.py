@@ -125,7 +125,7 @@ def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
 
 
 def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
-                 kappa=None, incident=None, cauchy_data=None,
+                 kappa=None, incident=None,
                  variant: str = "plain") -> LinearSystem:
     """Schwarz system [[I, -S_-], [-S_+, I]] (lambda_+, lambda_-) = rhs.
 
@@ -135,8 +135,7 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     convention).
     """
     kappa = complex(kappa) if kappa is not None else mat_minus.kappa
-    inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident,
-                                                    cauchy_data)
+    inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident)
     Up, Um = transmission_operators(mat_plus, mat_minus, kappa, n_max=grid.n)
     # the exterior map first: it rejects an unknown variant before assembly
     S_plus = rtr_exterior(mat_plus, mat_minus, grid, kappa, Up, Um,

@@ -135,8 +135,7 @@ def _eye(N: int) -> np.ndarray:
 
 
 def assemble_dirichlet(kind: str, material: Material, grid,
-                       coupling=None, incident=None,
-                       trace_data=None) -> LinearSystem:
+                       coupling=None, incident=None) -> LinearSystem:
     """Combined-field system for the exterior Dirichlet problem.
 
     coupling: CFIE coupling constant eta (default: the quasi-optimal
@@ -145,12 +144,9 @@ def assemble_dirichlet(kind: str, material: Material, grid,
     """
     if kind not in ("CFIE", "CFIER"):
         raise ValueError(f"unknown Dirichlet formulation {kind!r}")
-    if trace_data is not None:
-        rhs = flatten_density(np.asarray(trace_data, dtype=complex))
-    elif incident is not None:
-        rhs = -flatten_density(incident.u(grid.x))
-    else:
-        raise ValueError("either incident field or trace data required")
+    if incident is None:
+        raise ValueError("an incident field is required")
+    rhs = -flatten_density(incident.u(grid.x))
     N = grid.size
     ops = boundary_operators(material, grid, tags=("V", "K"))
     if kind == "CFIE":
@@ -173,20 +169,15 @@ def assemble_dirichlet(kind: str, material: Material, grid,
 
 
 def assemble_neumann(kind: str, material: Material, grid,
-                     coupling=None, incident=None,
-                     traction_data=None, trace_data=None) -> LinearSystem:
+                     coupling=None, incident=None) -> LinearSystem:
     """Combined-field system for the exterior Neumann (traction) problem."""
     if kind not in ("CFIE", "CFIER", "DCFIER"):
         raise ValueError(f"unknown Neumann formulation {kind!r}")
+    if incident is None:
+        raise ValueError("an incident field is required")
     N = grid.size
-    inc_cd = None if incident is None else trace_and_traction(incident, grid,
-                                                              material)
-    if traction_data is not None:
-        rhs = flatten_density(np.asarray(traction_data, dtype=complex))
-    elif inc_cd is not None:
-        rhs = -flatten_density(inc_cd.traction)
-    else:
-        raise ValueError("either incident field or traction data required")
+    inc_cd = trace_and_traction(incident, grid, material)
+    rhs = -flatten_density(inc_cd.traction)
 
     if kind == "CFIE":
         eta = material.eta_neumann if coupling is None else complex(coupling)
@@ -207,13 +198,8 @@ def assemble_neumann(kind: str, material: Material, grid,
             def represent(x):  # u = DL R^N phi - SL phi
                 return _green_terms(material, grid, regN @ x, x, "exterior")
         else:  # DCFIER: direct regularized system on the total-field trace
-            if inc_cd is not None:
-                rhs = (flatten_density(inc_cd.trace)
-                       - regN @ flatten_density(inc_cd.traction))
-            elif trace_data is not None:
-                rhs = flatten_density(np.asarray(trace_data, dtype=complex))
-            else:
-                raise ValueError("DCFIER needs the incident field (or trace data)")
+            rhs = (flatten_density(inc_cd.trace)
+                   - regN @ flatten_density(inc_cd.traction))
             ops = boundary_operators(material, grid, tags=("K", "W"))
             A = 0.5 * _eye(2 * N) - ops["K"] + regN @ ops["W"]
 
@@ -224,7 +210,8 @@ def assemble_neumann(kind: str, material: Material, grid,
                         represent=represent, meta={"material": material})
 
 
-def _incident_cauchy_data(mat_plus: Material, grid, incident, cauchy_data):
+def _incident_cauchy_data(mat_plus: Material, grid, incident,
+                          cauchy_data=None):
     """Incident trace and EXTERIOR traction on the grid, as complex arrays."""
     if cauchy_data is not None:
         inc_trace, inc_traction = cauchy_data

@@ -10,33 +10,36 @@ following schema; see PRESETS for complete examples.
                        | "fourier_custom", ...params},
       "materials":    {"exterior": {"lam": ..., "mu": ...},
                        "interior": {...}},          # interior: transmission only
-      "incidence":    {"type": "P" | "S", "direction": [dx, dy]}
+      "incidence":    {"type": "P" | "S"?, "direction": [dx, dy],
+                       "polarization": [px, py]?}
                       or {"type": "point_source", "location": [x, y],
                           "polarization": [qx, qy]},
       "formulations": [{"name": ..., "label": ...?, "coupling": ...?}, ...],
       "cases":        [{"omega": ..., "n": ...}, ...],
-      "solver":       {"tol": ..., "maxiter": ...?},
+      "solver":       {"tol": ... (default 1e-8), "maxiter": ...?},
       "timing":       "wall" (default) | "none",
       "output":       optional CSV path
     }
 
 Formulation names by problem: manufactured V | K | W; dirichlet CFIE | CFIER;
 neumann CFIE | CFIER | DCFIER; transmission SC | KR | DCFIER | ICFIER | OS.
-A missing "coupling" uses the quasi-optimal coupling (CFIE) or the default
-complexified wavenumber rule (CFIER/OS).  A label is a string with no comma
-or line break.
-run_experiment rejects a config that lacks a required field (every key above
-but "table", "solver", "timing" and "output"; "interior" for transmission
-only, and "lam" and "mu" of each material) or holds a value no cell can run
-(an unknown problem, incidence type, formulation name or curve kind, a
-material with mu <= 0 or lam + mu <= 0, a zero plane-wave direction, an
-omega that is not positive, an n that is not an integer >= 4, a CFIE
-coupling that is not a nonzero finite number, a CFIER, DCFIER, ICFIER or OS
-coupling kappa without Re kappa > 0 and Im kappa > 0, a solver.tol that is
-not a positive finite number, a solver.maxiter that is not a positive
-integer, a solver that is not an object, a timing other than "wall" or
-"none"), before any cell runs, naming the field.  JSON has no complex
-numbers, so a kappa coupling is given as a string such as "10+2j".
+Defaults: the quasi-optimal coupling (CFIE) or complexified wavenumber rule
+(CFIER/OS), the name as label, type "P", and the polarization d (P) or
+(-dy, dx) (S).  run_experiment reads, checks and converts each field once
+and, before any cell runs, names a missing required field (every key above
+but "table", "solver", "timing", "output" and those marked ?; "interior" for
+transmission only), an object or list that is none, and a value no cell can
+run: an unknown problem, incidence type, formulation name or curve kind, a
+material with mu <= 0 or lam + mu <= 0, a direction or polarization that is
+not a nonzero finite 2-vector, a location that is not a finite 2-vector, an
+omega that is not positive, an n that is not an integer >= 4, a label that
+is not a string free of commas and line breaks, a CFIE coupling that is not
+a nonzero finite number, a CFIER, DCFIER, ICFIER or OS coupling kappa
+without Re kappa > 0 and Im kappa > 0 (JSON has no complex numbers: write
+kappa as a string such as "10+2j"), a solver.tol that is not a positive
+finite number, a solver.maxiter that is not a positive integer, a timing
+other than "wall" or "none", and a worker-thread count (see run_experiment)
+that is not an integer >= 1, naming its source.
 
 Rows are deterministic given a config except for the wall-time column; set
 "timing": "none" to zero it and obtain bit-identical CSV across runs.
@@ -45,6 +48,7 @@ Rows are deterministic given a config except for the wall-time column; set
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import json
 import numbers
 import os
@@ -96,18 +100,6 @@ def load_config(path) -> dict:
         return json.load(fh)
 
 
-def _make_incident(spec: dict, material):
-    kind = spec.get("type", "P")
-    if kind == "point_source":
-        return point_source(material,
-                            np.asarray(spec["location"], dtype=float),
-                            np.asarray(spec["polarization"], dtype=float))
-    d = np.asarray(spec["direction"], dtype=float)
-    d = d / np.linalg.norm(d)
-    p = spec.get("polarization", d if kind == "P" else [-d[1], d[0]])
-    return plane_wave(material, d, np.asarray(p, dtype=float))
-
-
 # The layer potential each manufactured column (V, K or W) represents.
 _MANUFACTURED_LAYERS = {"V": "SL", "K": "DL", "W": "DL"}
 
@@ -120,120 +112,153 @@ _FORMULATIONS = {
 }
 
 
-def _make_curve(geometry: dict):
-    return make_curve(geometry["kind"],
-                      params={k: v for k, v in geometry.items() if k != "kind"}
-                      or None)
+def _get(parent, path: str, *default):
+    """The config field named `path`, whose last key is read from `parent`;
+    a missing field is required unless a default is given."""
+    parent_path, _, key = path.rpartition(".")
+    if not isinstance(parent, dict):
+        raise ValueError(f"{parent_path or 'config'} {parent!r} is not an object")
+    if key in parent:
+        return parent[key]
+    if not default:
+        raise ValueError(f"config lacks the required field {path!r}")
+    return default[0]
 
 
-def _check_config(config: dict) -> None:
-    """Reject, before any work, a config that lacks a field the schema
-    requires, holds a value no cell can run, or holds a label the CSV cannot
-    hold; name the field."""
-    required = ["problem", "geometry.kind", "materials.exterior", "incidence",
-                "formulations", "cases"]
-    problem = config.get("problem")
-    if problem == "transmission":
-        required.append("materials.interior")
-    incidence = config.get("incidence")
-    if isinstance(incidence, dict):
-        kind = incidence.get("type", "P")
-        if kind not in ("P", "S", "point_source"):
-            raise ValueError(f"incidence.type {kind!r} is not 'P', 'S' or "
-                             "'point_source'")
-        if problem == "manufactured" and kind != "point_source":
-            raise ValueError("manufactured problems need incidence.type "
-                             f"'point_source', not {kind!r}")
-        required += (["incidence.location", "incidence.polarization"]
-                     if kind == "point_source" else ["incidence.direction"])
-    for path in required:
-        node = config
-        for key in path.split("."):
-            if not isinstance(node, dict) or key not in node:
-                raise ValueError(f"config lacks the required field {path!r}")
-            node = node[key]
-    if problem not in _FORMULATIONS:
+def _vector(parent, path: str, *default, nonzero: bool = True):
+    """A finite 2-vector field as floats; nonzero unless told otherwise."""
+    value = _get(parent, path, *default)
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        v = np.empty(0)
+    if v.shape != (2,) or not np.isfinite(v).all() or nonzero and not v.any():
+        raise ValueError(f"{path} {value!r} is not a "
+                         f"{'nonzero ' if nonzero else ''}finite 2-vector")
+    return v
+
+
+def _formulation(form, path: str, problem: str) -> tuple:
+    """The checked (name, label, coupling) of the formulation at `path`."""
+    name = _get(form, f"{path}.name")
+    if name not in _FORMULATIONS[problem]:
+        raise ValueError(f"{path}.name {name!r} is not a {problem} formulation")
+    # emit_table writes labels unquoted: these would split a CSV row
+    label = _get(form, f"{path}.label", name)
+    if not (isinstance(label, str) and "," not in label
+            and "".join(label.splitlines()) == label):
+        raise ValueError(f"{path}.label {label!r} is not a string free of "
+                         "commas and line breaks")
+    # CFIE reads the coupling as eta, SC, KR and the manufactured columns
+    # ignore it, and the regularized formulations and OS read it as kappa
+    value = _get(form, f"{path}.coupling", None)
+    if value is None or name in ("SC", "KR", *_MANUFACTURED_LAYERS):
+        return name, label, None
+    try:
+        coupling = complex(value)
+        if name != "CFIE":
+            make_symbol("LambdaKappa", kappa=coupling, n_max=0)
+        elif coupling == 0 or not np.isfinite(coupling):
+            raise ValueError("eta is not a nonzero finite number")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}.coupling {value!r}: {exc}") from None
+    return name, label, coupling
+
+
+def _cells(config: dict) -> list:
+    """Check and convert each config field once, naming a bad one; return
+    the function that runs each (case, formulation) cell, in table order."""
+    problem = _get(config, "problem")
+    if not (isinstance(problem, str) and problem in _FORMULATIONS):
         raise ValueError(f"problem {problem!r} is not one of "
                          f"{', '.join(_FORMULATIONS)}")
+    geometry = _get(config, "geometry")
+    kind = _get(geometry, "geometry.kind")
     try:
-        _make_curve(config["geometry"])
+        curve = make_curve(kind, params={k: v for k, v in geometry.items()
+                                         if k != "kind"} or None)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"geometry.kind {config['geometry']['kind']!r} "
-                         f"cannot be built: {exc}") from None
-    for role, material in config["materials"].items():
-        for key in ("lam", "mu"):
-            if not isinstance(material, dict) or key not in material:
-                raise ValueError(f"config lacks the required field "
-                                 f"'materials.{role}.{key}'")
+        raise ValueError(f"geometry.kind {kind!r} cannot be built: "
+                         f"{exc}") from None
+    # (lam, mu) of the exterior material, then of the interior one
+    materials, lame = _get(config, "materials"), []
+    for role in ("exterior", "interior")[:1 + (problem == "transmission")]:
+        material = _get(materials, f"materials.{role}")
+        lame.append(tuple(_get(material, f"materials.{role}.{key}")
+                          for key in ("lam", "mu")))
         try:
-            make_material(material["lam"], material["mu"], omega=1.0)
+            make_material(*lame[-1], omega=1.0)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"materials.{role}: {exc}") from None
-    if "incidence.direction" in required:
-        d = np.asarray(incidence["direction"], dtype=float)
-        if d.shape != (2,) or not np.isfinite(d).all() or not d.any():
-            raise ValueError(f"incidence.direction {incidence['direction']!r} "
-                             "is not a nonzero finite 2-vector")
-    for i, case in enumerate(config["cases"]):
-        for key in ("omega", "n"):
-            if not isinstance(case, dict) or key not in case:
-                raise ValueError(f"config lacks the required field "
-                                 f"'cases[{i}].{key}'")
-        omega, n = case["omega"], case["n"]
+    incidence = _get(config, "incidence")
+    kind = _get(incidence, "incidence.type", "P")
+    kinds = ("point_source",) if problem == "manufactured" else (
+        "P", "S", "point_source")
+    if kind not in kinds:
+        raise ValueError(f"incidence.type {kind!r} is not one of {kinds} "
+                         f"for a {problem} problem")
+    # the incident field is source(material, a, b)
+    if kind == "point_source":
+        source, a = point_source, _vector(incidence, "incidence.location",
+                                          nonzero=False)
+        b = _vector(incidence, "incidence.polarization")
+    else:
+        a = _vector(incidence, "incidence.direction")
+        source, a = plane_wave, a / np.linalg.norm(a)
+        b = _vector(incidence, "incidence.polarization",
+                    [-a[1], a[0]] if kind == "S" else a)
+    forms, cases = _get(config, "formulations"), _get(config, "cases")
+    for key, value in (("formulations", forms), ("cases", cases)):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} {value!r} is not a list")
+    forms = [_formulation(form, f"formulations[{i}]", problem)
+             for i, form in enumerate(forms)]
+    checked = []
+    for i, case in enumerate(cases):
+        omega, n = (_get(case, f"cases[{i}].{key}") for key in ("omega", "n"))
         if not (isinstance(omega, numbers.Real) and 0 < omega < np.inf):
             raise ValueError(f"cases[{i}].omega {omega!r} is not a positive "
                              "finite number")
         if not (isinstance(n, numbers.Integral) and n >= 4):
             raise ValueError(f"cases[{i}].n {n!r} is not an integer >= 4")
-    for i, form in enumerate(config["formulations"]):
-        if "name" not in form:
-            raise ValueError(f"config lacks the required field "
-                             f"'formulations[{i}].name'")
-        if form["name"] not in _FORMULATIONS[problem]:
-            raise ValueError(f"formulations[{i}].name {form['name']!r} is not "
-                             f"a {problem} formulation")
-        # emit_table writes labels unquoted: these would split a CSV row
-        label = form.get("label", "")
-        if not isinstance(label, str):
-            raise ValueError(f"formulations[{i}].label {label!r} is not a "
-                             "string")
-        if "," in label or "".join(label.splitlines()) != label:
-            raise ValueError(f"formulations[{i}].label {label!r} holds a "
-                             "comma or a line break")
-        # CFIE reads the coupling as eta, SC, KR and the manufactured columns
-        # ignore it, and the regularized formulations and OS read it as kappa
-        coupling = form.get("coupling")
-        if coupling is None or form["name"] in ("SC", "KR",
-                                                *_MANUFACTURED_LAYERS):
-            continue
-        try:
-            if form["name"] == "CFIE":
-                eta = complex(coupling)
-                if eta == 0 or not np.isfinite(eta):
-                    raise ValueError("eta is not a nonzero finite number")
-            else:
-                make_symbol("LambdaKappa", kappa=coupling, n_max=0)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"formulations[{i}].coupling {coupling!r}: "
-                             f"{exc}") from None
-    solver = config.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ValueError(f"solver {solver!r} is not an object")
-    tol, maxiter = solver.get("tol", 1e-8), solver.get("maxiter")
+        checked.append((float(omega), int(n)))
+    solver = _get(config, "solver", {})
+    tol = _get(solver, "solver.tol", 1e-8)
+    maxiter = _get(solver, "solver.maxiter", None)
     if not (isinstance(tol, numbers.Real) and 0 < tol < np.inf):
         raise ValueError(f"solver.tol {tol!r} is not a positive finite number")
     if not (maxiter is None
             or isinstance(maxiter, numbers.Integral) and maxiter >= 1):
         raise ValueError(f"solver.maxiter {maxiter!r} is not a positive "
                          "integer")
-    timing = config.get("timing", "wall")
+    timing = _get(config, "timing", "wall")
     if timing not in ("wall", "none"):
         raise ValueError(f"timing {timing!r} is not 'wall' or 'none'")
 
+    def cell(omega, n, name, label, coupling):
+        t0 = time.perf_counter()
+        grid = sample_grid(curve, n)
+        mats = [make_material(lam, mu, omega) for lam, mu in lame]
+        iterations, converged, err = 0, True, None
+        if problem == "manufactured":
+            err = _manufactured_cell(name, mats[0], grid, a, b)
+        else:
+            iterations, converged = _iterative_cell(
+                problem, name, mats, grid, coupling, source(mats[0], a, b),
+                tol, maxiter)
+        seconds = 0.0 if timing == "none" else time.perf_counter() - t0
+        return ReportRow(omega=omega, n=n,
+                         formulation=label if converged else label + "!",
+                         iterations=iterations, eps_inf=err, seconds=seconds)
 
-def _manufactured_cell(form, material, grid, source, reference: FarField):
-    """Solve one manufactured-solution column (V, K or W) by direct LU."""
-    cd = trace_and_traction(source, grid, material)
+    return [functools.partial(cell, omega, n, *form)
+            for omega, n in checked for form in forms]
+
+
+def _manufactured_cell(form, material, grid, x0, q) -> float:
+    """eps_inf of one manufactured-solution column (V, K or W), solved by
+    direct LU, for the point source Phi(., x0) q."""
+    cd = trace_and_traction(point_source(material, x0, q), grid, material)
     A = boundary_operators(material, grid, tags=(form,))[form]
     if form == "K":
         A = 0.5 * np.eye(2 * grid.size, dtype=complex) + A
@@ -242,64 +267,28 @@ def _manufactured_cell(form, material, grid, source, reference: FarField):
     rep = PotentialRepresentation(
         terms=(PotentialTerm(_MANUFACTURED_LAYERS[form], material, grid,
                              density),))
+    reference = _point_source_far_field(material, x0, q, *default_directions())
     ff = far_field(rep, directions=reference.directions)
-    return 0, eps_inf(ff, reference)
+    return eps_inf(ff, reference)
 
 
-def _iterative_cell(problem, form_spec, mats, grid, incident, solver):
-    name = form_spec["name"]
-    coupling = form_spec.get("coupling")
+def _iterative_cell(problem, name, mats, grid, coupling, incident, tol,
+                    maxiter):
+    """(iterations, converged) of `name` on mats, (exterior[, interior])."""
     if problem == "dirichlet":
-        system = assemble_dirichlet(name, mats["exterior"], grid,
-                                    coupling=coupling, incident=incident)
+        system = assemble_dirichlet(name, *mats, grid, coupling=coupling,
+                                    incident=incident)
     elif problem == "neumann":
-        system = assemble_neumann(name, mats["exterior"], grid,
-                                  coupling=coupling, incident=incident)
+        system = assemble_neumann(name, *mats, grid, coupling=coupling,
+                                  incident=incident)
     elif name == "OS":
-        system = assemble_ddm(mats["exterior"], mats["interior"], grid,
-                              kappa=coupling, incident=incident)
+        system = assemble_ddm(*mats, grid, kappa=coupling, incident=incident)
     else:
-        system = assemble_transmission(name, mats["exterior"],
-                                       mats["interior"], grid,
-                                       kappa=coupling, incident=incident)
-    report = gmres(system.operator.matrix, system.rhs,
-                   tol=solver.get("tol", 1e-8),
-                   maxiter=solver.get("maxiter"))
+        system = assemble_transmission(name, *mats, grid, kappa=coupling,
+                                       incident=incident)
+    report = gmres(system.operator.matrix, system.rhs, tol=tol,
+                   maxiter=maxiter)
     return report.iterations, report.converged
-
-
-def _run_cell(config, case, form_spec):
-    t0 = time.perf_counter()
-    problem = config["problem"]
-    grid = sample_grid(_make_curve(config["geometry"]), int(case["n"]))
-    omega = float(case["omega"])
-    mats = {role: make_material(lam=m["lam"], mu=m["mu"], omega=omega)
-            for role, m in config["materials"].items()}
-    label = form_spec.get("label", form_spec["name"])
-    if problem == "manufactured":
-        source = _make_incident(config["incidence"], mats["exterior"])
-        x0 = np.asarray(config["incidence"]["location"], dtype=float)
-        q = np.asarray(config["incidence"]["polarization"], dtype=float)
-        angles, dirs = default_directions()
-        reference = _point_source_far_field(mats["exterior"], x0, q,
-                                            angles, dirs)
-        iterations, err = _manufactured_cell(form_spec["name"],
-                                             mats["exterior"], grid,
-                                             source, reference)
-        converged = True
-    else:
-        incident = _make_incident(config["incidence"], mats["exterior"])
-        iterations, converged = _iterative_cell(problem, form_spec, mats,
-                                                grid, incident,
-                                                config.get("solver", {}))
-        err = None
-    seconds = time.perf_counter() - t0
-    if config.get("timing", "wall") == "none":
-        seconds = 0.0
-    if not converged:
-        label = label + "!"
-    return ReportRow(omega=omega, n=int(case["n"]), formulation=label,
-                     iterations=iterations, eps_inf=err, seconds=seconds)
 
 
 def _point_source_far_field(material, x0, q, angles, dirs) -> FarField:
@@ -313,33 +302,24 @@ def _point_source_far_field(material, x0, q, angles, dirs) -> FarField:
     return FarField(angles=angles, directions=dirs, up=up, us=us)
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def run_experiment(config: dict, threads: int | None = None) -> list[ReportRow]:
     """Run every (case, formulation) cell of the configuration.
 
     Independent cells run in a thread pool of the requested size (argument,
-    else the ELASTOBIE_THREADS environment variable, else serial); the
-    report is assembled in deterministic order regardless of scheduling.
+    else $ELASTOBIE_THREADS, else serial; an integer >= 1); the report is
+    assembled in deterministic order regardless of scheduling.
     """
-    _check_config(config)
-    cells = [(case, form) for case in config["cases"]
-             for form in config["formulations"]]
-    if not cells:
-        return []
-    nthreads = _resolve_threads(threads)
+    cells = _cells(config)
+    source, nthreads = "threads", threads
+    if threads is None:
+        source, nthreads = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR) or "1"
+        nthreads = int(nthreads) if nthreads.isdecimal() else nthreads
+    if not (isinstance(nthreads, numbers.Integral) and nthreads >= 1):
+        raise ValueError(f"{source} {nthreads!r} is not an integer >= 1")
     if nthreads == 1:
-        return [_run_cell(config, case, form) for case, form in cells]
+        return [cell() for cell in cells]
     with concurrent.futures.ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futures = [pool.submit(_run_cell, config, case, form)
-                   for case, form in cells]
+        futures = [pool.submit(cell) for cell in cells]
         return [f.result() for f in futures]
 
 

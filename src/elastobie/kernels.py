@@ -6,7 +6,6 @@ UNNORMALIZED normals nu = (x2', -x1'):
 
     V (tau,t)  = Phi(x(tau), x(t))                      single layer
     K (tau,t)  = [T_t Phi(x(tau), x(t))]^T              double layer
-    Kt(tau,t)  =  T_tau Phi(x(tau), x(t)) = K(t,tau)^T  adjoint double layer
     W (tau,t)  =  T_tau [T_t Phi(x(tau), x(t))]^T       hypersingular
 
 Every kernel is split as
@@ -32,9 +31,9 @@ negated and the normals exchanged, on the same radial suites.  Each kernel
 is a sum of radial functions times real 2x2 tensors (A, G A, C for K; the
 products with U1(nu_tau, r) and the tractions of A, G A, C for W), written
 out in closed form by component and built once per set of pairs for both
-bases.  Kt is never evaluated: its split is K's block transpose, diagonal
-included, and its assembled operator is K's transpose.  Splits are stored
-component-major too, as (2, 2, N, N) arrays indexed [p, q, i, m].
+bases.  The adjoint double layer K^T is not split here: its assembled
+operator is K's transpose (formulations.boundary_operators).  Splits are
+stored component-major too, as (2, 2, N, N) arrays indexed [p, q, i, m].
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from .special import radial_suite
 
 __all__ = ["KernelSplit", "fundamental_solution", "kernel_split", "TAGS"]
 
-TAGS = ("V", "K", "Kt", "W")
+TAGS = ("V", "K", "W")
 
 
 def fundamental_solution(material, x, y):
@@ -235,7 +234,7 @@ def _c_hs(material, tag):
 
 
 def _c_pv(material, tag):
-    if tag in ("K", "Kt"):
+    if tag == "K":
         return -material.mu / (material.lam + 2.0 * material.mu)
     return 0.0
 
@@ -345,15 +344,12 @@ def _kernel_splits(material, grid, tags) -> dict:
     block-symmetric, so their lower triangle is the block transpose of the
     upper one; K's lower triangle is K's formula on the swapped pairs (r
     negated, normals exchanged).  The diagonal limits of all tags come from
-    one shared extrapolation.  Kt(tau, t) = K(t, tau)^T, and the cot and log
-    parts of K transpose into those of Kt, so Kt's M_log and M_smooth are
-    K's block transposes, diagonal included.
+    one shared extrapolation.
     """
-    tags = tuple(tags)
+    tags = tuple(dict.fromkeys(tags))
     for tag in tags:
         if tag not in TAGS:
             raise ValueError(f"unknown kernel tag {tag!r}; expected one of {TAGS}")
-    evaluated = tuple(dict.fromkeys("K" if tag == "Kt" else tag for tag in tags))
     N = grid.size
     i, j = np.triu_indices(N, 1)
     # take() keeps the (2, P) rows contiguous; x.T[:, i] would interleave them
@@ -361,12 +357,12 @@ def _kernel_splits(material, grid, tags) -> dict:
     x_i, nu_i, x_j, nu_j = x.take(i, 1), nu.take(i, 1), x.take(j, 1), nu.take(j, 1)
     d = grid.t[i] - grid.t[j]
     upper = _PairFields(material, x_i, nu_i, x_j, nu_j)
-    suites = _radial_suites(material, upper.r, evaluated)
-    mlogs, smooths = _split_values(material, upper, suites, evaluated, d)
-    if "K" in evaluated:
+    suites = _radial_suites(material, upper.r, tags)
+    mlogs, smooths = _split_values(material, upper, suites, tags, d)
+    if "K" in tags:
         swapped = _PairFields(material, x_j, nu_j, x_i, nu_i)
         k_lower = _split_values(material, swapped, suites, ("K",), -d)
-    smooth_diag, log_diag = _diagonal_limits(material, grid, evaluated)
+    smooth_diag, log_diag = _diagonal_limits(material, grid, tags)
     # V: L Phi2 = O(r^2) and G stays bounded, so only (1/2) L Phi1(0) I =
     # -beta/(2 pi) I survives; K: the log coefficient vanishes on the diagonal.
     v_log = -material.beta / (2.0 * np.pi) * _I2
@@ -387,20 +383,17 @@ def _kernel_splits(material, grid, tags) -> dict:
         return out.reshape(2, 2, N, N)
 
     splits = {}
-    for tag in evaluated:
+    for tag in tags:
         if tag == "K":
             lows = (k_lower[0]["K"], k_lower[1]["K"])
         else:
             lows = (mlogs[tag].swapaxes(0, 1), smooths[tag].swapaxes(0, 1))
         # the log basis is real; the extrapolated limits are complex-typed
-        splits[tag] = (planes(mlogs[tag], lows[0], log_diag[tag].real),
-                       planes(smooths[tag], lows[1], smooth_diag[tag]))
-    if "Kt" in tags:
-        splits["Kt"] = tuple(np.ascontiguousarray(m.transpose(1, 0, 3, 2))
-                             for m in splits["K"])
-    return {tag: KernelSplit(_c_hs(material, tag), _c_pv(material, tag),
-                             *splits[tag])
-            for tag in tags}
+        splits[tag] = KernelSplit(
+            _c_hs(material, tag), _c_pv(material, tag),
+            planes(mlogs[tag], lows[0], log_diag[tag].real),
+            planes(smooths[tag], lows[1], smooth_diag[tag]))
+    return splits
 
 
 def kernel_split(material, grid, tag: str) -> KernelSplit:

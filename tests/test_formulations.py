@@ -156,20 +156,17 @@ def test_discrete_dtn_maps_trace_to_traction(grid, mat, discrete_dtn_exterior):
 
 
 def test_error_paths(grid, mat):
+    wave = plane_wave(mat, [1.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError):
-        assemble_dirichlet("MFIE", mat, grid, incident=None, trace_data=np.zeros((grid.size, 2)))
+        assemble_dirichlet("MFIE", mat, grid, incident=wave)
     with pytest.raises(ValueError):
         assemble_dirichlet("CFIE", mat, grid)  # no data at all
     with pytest.raises(ValueError):
-        assemble_dirichlet("CFIE", mat, grid, coupling=0.0,
-                           trace_data=np.zeros((grid.size, 2)))
+        assemble_dirichlet("CFIE", mat, grid, coupling=0.0, incident=wave)
     with pytest.raises(ValueError):
-        assemble_neumann("XFIE", mat, grid,
-                         traction_data=np.zeros((grid.size, 2)))
+        assemble_neumann("XFIE", mat, grid, incident=wave)
     with pytest.raises(ValueError):
-        assemble_transmission("XX", mat, mat, grid,
-                              cauchy_data=(np.zeros((grid.size, 2)),
-                                           np.zeros((grid.size, 2))))
+        assemble_transmission("XX", mat, mat, grid, incident=wave)
     with pytest.raises(ValueError):
         assemble_transmission("KR", mat, mat, grid)
 
@@ -182,15 +179,14 @@ def test_unknown_dirichlet_formulation_fails_before_assembly(grid, mat, monkeypa
     monkeypatch.setattr("elastobie.formulations.boundary_operators", _no_assembly)
     with pytest.raises(ValueError, match="'MFIE'"):
         assemble_dirichlet("MFIE", mat, grid,
-                           trace_data=np.zeros((grid.size, 2)))
+                           incident=plane_wave(mat, [1.0, 0.0], [1.0, 0.0]))
 
 
 def test_unknown_transmission_formulation_fails_before_assembly(grid, mat, monkeypatch):
     monkeypatch.setattr("elastobie.formulations.boundary_operators", _no_assembly)
     with pytest.raises(ValueError, match="'XX'"):
         assemble_transmission("XX", mat, mat, grid,
-                              cauchy_data=(np.zeros((grid.size, 2)),
-                                           np.zeros((grid.size, 2))))
+                              incident=plane_wave(mat, [1.0, 0.0], [1.0, 0.0]))
 
 
 def _kind_system(kind, variant, mp, mm, grid, inc):

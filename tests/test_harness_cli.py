@@ -140,9 +140,13 @@ def test_manufactured_cell_reports_error_column():
         "solver": {},
         "timing": "none",
     }
-    (row,) = run_experiment(config)
-    assert row.iterations == 0
-    assert row.eps_inf is not None and row.eps_inf < 1e-8
+    # a location may be zero; a polarization may not
+    origin = dict(config, incidence=dict(config["incidence"],
+                                         location=[0.0, 0.0]))
+    for cfg in (config, origin):
+        (row,) = run_experiment(cfg)
+        assert row.iterations == 0
+        assert row.eps_inf is not None and row.eps_inf < 1e-8
 
 
 MANUFACTURED = {
@@ -258,6 +262,25 @@ def test_missing_config_field_fails_early(monkeypatch, field, config):
     ("formulations[1].label", dict(SMOKE, formulations=[
         {"name": "CFIE"}, {"name": "CFIER", "label": 5}])),
     ("timing", dict(SMOKE, timing="nope")),
+    ("cases", dict(SMOKE, cases=5)),
+    ("formulations", dict(SMOKE, formulations=5)),
+    ("formulations[0]", dict(SMOKE, formulations=[5])),
+    ("incidence.direction", dict(SMOKE, incidence={"type": "P",
+                                                   "direction": "ab"})),
+    ("incidence.polarization", dict(SMOKE, incidence={
+        "type": "P", "direction": [0.0, -1.0], "polarization": [0, 0]})),
+    ("incidence.polarization", dict(SMOKE, incidence={
+        "type": "S", "direction": [0.0, -1.0], "polarization": [1, 0, 0]})),
+    ("incidence.polarization", dict(MANUFACTURED, incidence={
+        "type": "point_source", "location": [0.1, -0.2],
+        "polarization": [0, 0]})),
+    ("incidence.polarization", dict(MANUFACTURED, incidence={
+        "type": "point_source", "location": [0.1, -0.2],
+        "polarization": [1, 0, 0]})),
+    ("incidence.location", dict(MANUFACTURED, incidence={
+        "type": "point_source", "location": [0.1, -0.2, 0],
+        "polarization": [1.0, 0.7]})),
+    ("problem", dict(SMOKE, problem=["dirichlet"])),
 ])
 def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
     for module in ("harness", "formulations"):
@@ -265,6 +288,35 @@ def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
                             _no_assembly)
     with pytest.raises(ValueError, match=re.escape(field)):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("source, threads, env", [
+    ("threads", 0, None), ("threads", -3, None),
+    ("ELASTOBIE_THREADS", None, "two"), ("ELASTOBIE_THREADS", None, "0"),
+])
+def test_bad_thread_count_fails_early(monkeypatch, source, threads, env):
+    for module in ("harness", "formulations"):
+        monkeypatch.setattr(f"elastobie.{module}.boundary_operators",
+                            _no_assembly)
+    monkeypatch.delenv("ELASTOBIE_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("ELASTOBIE_THREADS", env)
+    with pytest.raises(ValueError, match=source):
+        run_experiment(SMOKE, threads=threads)
+
+
+def test_defaults_equal_their_spelled_out_values():
+    implicit = {k: v for k, v in SMOKE.items() if k != "solver"}
+    explicit = dict(SMOKE, solver={"tol": 1e-8})
+    d = [0.0, -1.0]
+    for bare, spelled in [
+            ({"direction": d}, {"type": "P", "direction": d}),
+            ({"type": "S", "direction": d},
+             {"type": "S", "direction": d, "polarization": [-d[1], d[0]]})]:
+        one, two = (emit_table(run_experiment(dict(config, incidence=inc)),
+                               table_name="defaults")
+                    for config, inc in ((implicit, bare), (explicit, spelled)))
+        assert one == two, bare
 
 
 def test_first_preset_cases_identical_across_thread_counts():
@@ -302,6 +354,8 @@ def test_cli_run_and_preset(tmp_path):
     assert runner.invoke(main, ["preset", "no-such-table"]).exit_code != 0
     assert runner.invoke(main, ["run"]).exit_code != 0
     assert runner.invoke(main, ["preset"]).exit_code != 0
+    res = runner.invoke(main, ["run", str(cfg), "--threads", "0"])
+    assert res.exit_code != 0 and "threads" in str(res.exception)
     assert set(main.commands) == {"run", "preset"}
 
 

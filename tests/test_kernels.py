@@ -50,16 +50,6 @@ def test_single_layer_split_reassembles_fundamental_solution(circle48, mat21):
     assert np.abs(full[:, :, off] - phi.transpose(1, 2, 0)).max() < 1e-12
 
 
-def test_double_layer_reciprocity(starfish32, mat21):
-    # Kt(x, y) = K(y, x)^T pointwise off the diagonal.
-    k = kernel_split(mat21, starfish32, "K")
-    kt = kernel_split(mat21, starfish32, "Kt")
-    fk, off = _reassemble(k, starfish32)
-    fkt, _ = _reassemble(kt, starfish32)
-    swapped = fk.transpose(1, 0, 3, 2)
-    assert np.abs(fkt[:, :, off] - swapped[:, :, off]).max() < 1e-11
-
-
 def test_hankel_family_matches_amos_hankel():
     # The Cephes J + i Y evaluation against scipy's AMOS hankel1.
     for k in (0.5, 3.0, 40.0):
@@ -187,26 +177,24 @@ def test_singularity_constants(mat21):
     lam, mu = mat21.lam, mat21.mu
     assert _c_hs(mat21, "W") == pytest.approx(mu * (lam + mu) / (lam + 2 * mu))
     assert _c_hs(mat21, "W") == pytest.approx(-mat21.delta)
-    for tag in ("V", "K", "Kt"):
+    for tag in ("V", "K"):
         assert _c_hs(mat21, tag) == 0.0
-    for tag in ("K", "Kt"):
-        assert _c_pv(mat21, tag) == pytest.approx(-mu / (lam + 2 * mu))
+    assert _c_pv(mat21, "K") == pytest.approx(-mu / (lam + 2 * mu))
     for tag in ("V", "W"):
         assert _c_pv(mat21, tag) == 0.0
 
 
 def test_log_coefficient_diagonal(circle48, mat21):
     # V: M_log(t, t) = -beta/(2 pi) I (static log coefficient of Phi1);
-    # K, Kt: the log coefficient vanishes on the diagonal.
+    # K: the log coefficient vanishes on the diagonal.
     idx = np.arange(circle48.size)
     v = kernel_split(mat21, circle48, "V")
     diag = v.M_log[:, :, idx, idx]
     expected = -mat21.beta / (2.0 * np.pi) * np.eye(2)[:, :, None]
     assert np.abs(diag - expected).max() < 1e-10
-    for tag in ("K", "Kt"):
-        s = kernel_split(mat21, circle48, tag)
-        d = s.M_log[:, :, idx, idx]
-        assert np.abs(d).max() < 1e-13
+    s = kernel_split(mat21, circle48, "K")
+    d = s.M_log[:, :, idx, idx]
+    assert np.abs(d).max() < 1e-13
 
 
 def test_smooth_part_is_smooth(circle48, mat21):
@@ -222,7 +210,7 @@ def test_smooth_part_is_smooth(circle48, mat21):
 def test_unknown_tag_raises(circle48, mat21):
     with pytest.raises(ValueError):
         kernel_split(mat21, circle48, "Z")
-    assert TAGS == ("V", "K", "Kt", "W")
+    assert TAGS == ("V", "K", "W")
 
 
 def test_diagonal_evaluation_of_fundamental_solution_raises(mat21):
