@@ -21,9 +21,9 @@ The Schwarz fixed-point system solved by GMRES is
 where S_+- are the Robin-to-Robin (RtR) maps: S_+ takes the datum lambda_+
 of the radiating exterior solution u+ to T+ u+ + Upsilon_- gamma+ u+, and S_-
 takes lambda_- of the interior solution u- to T u- + Upsilon_+ gamma- u-.
-Each is a dense matrix from a direct solve of the subdomain Robin problem,
-built from the subdomain's Calderon matrix C = [[K, -V], [W, -K^T]]; with
-s = +1 outside and s = -1 inside (Upsilon_s = Upsilon_+ or Upsilon_-)
+Neither map is formed: each keeps the LU factors of its subdomain's Robin
+system, built from its Calderon matrix C = [[K, -V], [W, -K^T]]; with s = +1
+outside and s = -1 inside (Upsilon_s = Upsilon_+ or Upsilon_-) it reads
 
     [[s/2 I - K, V], [W + s Upsilon_s, s/2 I - K^T]] (gamma u, T u) = (0, s lambda).
 
@@ -42,56 +42,80 @@ The exterior map has three discretizations:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import solve_triangular
 
-from .formulations import (DenseOperator, LinearSystem, _green_terms,
+from .formulations import (LinearSystem, _green_terms,
                            _incident_cauchy_data, calderon_matrix)
 from .materials import Material
 from .multipliers import (Symbol, identity_symbol, make_symbol, ps_dtn,
                           symbol_matrix, transmission_operators)
 from .quadrature import flatten_density
 
-__all__ = ["RtRMap", "rtr_interior", "rtr_exterior", "assemble_ddm",
-           "bplus_principal_symbol"]
+__all__ = ["RtRMap", "SchwarzOperator", "rtr_interior", "rtr_exterior",
+           "assemble_ddm", "bplus_principal_symbol"]
 
 EPS = 0.1  # weight of the regularizing Vtilde rows of the "eps" variant
 
 
 @dataclass(frozen=True)
 class RtRMap:
-    """Dense Robin-to-Robin map of one subdomain.
+    """Robin-to-Robin map S of one subdomain, kept as LU factors: for Robin
+    data lam (vector or matrix), cauchy_data(lam) is the subdomain solution's
+    stacked Cauchy data (trace; traction) and S @ lam its outgoing data."""
 
-    matrix maps the incoming Robin datum lambda to the outgoing one
-    (S lambda); data_map maps lambda to the stacked Cauchy data
-    (flattened trace; flattened traction) of the subdomain solution.
-    """
-
-    matrix: np.ndarray = field(repr=False)    # (L, L), L = 2 * grid.size
-    data_map: np.ndarray = field(repr=False)  # (2L, L)
+    cauchy_data: Callable = field(repr=False)
+    ups_out: Symbol = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)  # "bplus" if single
+
+    def __matmul__(self, lam) -> np.ndarray:
+        trace, traction = np.split(self.cauchy_data(lam), 2)
+        return self.ups_out @ trace + traction
+
+
+@dataclass(frozen=True)
+class SchwarzOperator:
+    """Matrix-free [[I, -S_-], [-S_+, I]]: two subdomain solves per product."""
+
+    s_plus: RtRMap
+    s_minus: RtRMap
+    shape: tuple
+
+    def __matmul__(self, x) -> np.ndarray:
+        plus, minus = np.split(x, 2)
+        return np.concatenate([plus - self.s_minus @ minus,
+                               minus - self.s_plus @ plus])
 
 
 def _robin_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol,
-               vt: np.ndarray | None = None) -> RtRMap:
-    """RtR map of the subdomain on `side` (+1 exterior, -1 interior); its
-    Robin system is built in place in its Calderon matrix C.  vt adds the
-    "eps" rows vt (Upsilon, I) to the first row."""
+               vt: Symbol | None = None) -> RtRMap:
+    """RtR map of the subdomain on `side` (+1 exterior, -1 interior).  Its
+    Robin system A is built in C, its Calderon matrix, and factored there
+    as C.T = A^T, Fortran-ordered; vt adds the "eps" rows vt (Upsilon, I)."""
     L = C.shape[0] // 2  # 4n: one interleaved density on the 2n nodes
-    A = C
-    A[:L] *= -1
-    A[np.diag_indices_from(A)] += side / 2
-    A[L:, :L] += side * symbol_matrix(ups, L // 4)
-    rhs = np.zeros((2 * L, L), dtype=complex)
-    np.fill_diagonal(rhs[L:], side)
+    C[:L] *= -1
+    C[np.diag_indices_from(C)] += side / 2
+    C[L:, :L] += symbol_matrix(side * ups, L // 4)
     if vt is not None:
-        A[:L, :L] += vt @ ups
-        A[:L, L:] += vt
-        rhs[:L] = vt
-    X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(A), rhs)
-    return RtRMap(matrix=ups_out @ X[:L] + X[L:], data_map=X)
+        V = symbol_matrix(vt, L // 4)
+        C[:L, :L] += V @ ups
+        C[:L, L:] += V
+    lu, piv = scipy.linalg.lu_factor(C.T, overwrite_a=True)  # no copy
+
+    def cauchy_data(lam):
+        # A^-1 (vt lam, side lam) with A = U^T L^T P^T: two triangular solves
+        # and the row swaps, faster than lu_solve on one right-hand side
+        x = np.concatenate([np.zeros_like(lam) if vt is None else vt @ lam,
+                            side * lam])
+        x = solve_triangular(lu, x, trans=1, check_finite=False)
+        x = solve_triangular(lu, x, trans=1, lower=True, unit_diagonal=True,
+                             check_finite=False)
+        return scipy.linalg.lapack.zlaswp(x, piv, inc=-1)
+    return RtRMap(cauchy_data, ups_out)
 
 
 def rtr_interior(mat_minus: Material, grid, ups_plus: Symbol,
@@ -109,8 +133,8 @@ def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
         raise ValueError(f"unknown exterior RtR variant {variant!r}")
     C = calderon_matrix(mat_plus, grid)
     if variant != "single":
-        vt = None if variant == "plain" else EPS * symbol_matrix(
-            (mat_minus.beta * mat_minus.delta) * ups_plus.inv(), grid.n)
+        vt = None if variant == "plain" else EPS * (
+            (mat_minus.beta * mat_minus.delta) * ups_plus.inv())
         return _robin_map(C, +1, ups_plus, ups_minus, vt)
     L = 2 * grid.size
     ps_p = ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=grid.n)
@@ -119,8 +143,8 @@ def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
     C[np.diag_indices_from(C)] += 0.5
     D = C[:, :L] @ Ros + C[:, L:] @ (ps_p @ Ros)  # Cauchy data of u+ per phi
     B = D[L:] + ups_plus @ D[:L]
-    X = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), D.T, trans=1).T  # D B^-1
-    return RtRMap(matrix=ups_minus @ X[:L] + X[L:], data_map=X,
+    lu = scipy.linalg.lu_factor(B)
+    return RtRMap(lambda lam: D @ scipy.linalg.lu_solve(lu, lam), ups_minus,
                   meta={"bplus": B})
 
 
@@ -141,21 +165,16 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     S_plus = rtr_exterior(mat_plus, mat_minus, grid, kappa, Up, Um,
                           variant=variant)
     S_minus = rtr_interior(mat_minus, grid, Up, Um)
-    L = 2 * grid.size
-    I = np.eye(L, dtype=complex)
-    M = np.block([[I, -S_minus.matrix], [-S_plus.matrix, I]])
     b_tr, b_tn = flatten_density(inc_trace), flatten_density(inc_traction)
     rhs = np.concatenate([-(b_tn + Up @ b_tr), b_tn + Um @ b_tr])
 
-    # the representation keeps only the data maps, not the RtR matrices
-    plus_map, minus_map = S_plus.data_map, S_minus.data_map
-
     def represent(x):  # Green's formula on each subdomain's Cauchy data
-        plus, minus = plus_map @ x[:L], minus_map @ x[L:]
+        plus, minus = np.split(x, 2)
+        plus, minus = S_plus.cauchy_data(plus), S_minus.cauchy_data(minus)
         return (_green_terms(mat_plus, grid, *np.split(plus, 2), "exterior")
                 + _green_terms(mat_minus, grid, *np.split(minus, 2), "interior"))
-    return LinearSystem(operator=DenseOperator(M), rhs=rhs, grid=grid,
-                        represent=represent)
+    M = SchwarzOperator(S_plus, S_minus, shape=(len(rhs), len(rhs)))
+    return LinearSystem(operator=M, rhs=rhs, grid=grid, represent=represent)
 
 
 def bplus_principal_symbol(mat_plus: Material, mat_minus: Material,

@@ -62,21 +62,28 @@ class DenseOperator:
 
     matrix: np.ndarray = field(repr=False)
 
+    def __matmul__(self, x):
+        return self.matrix @ x
+
+    @property
+    def shape(self):
+        return self.matrix.shape
+
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Dense system A x = b; represent maps a solution x to the tuple of
-    PotentialTerms of its fields (reconstruct_fields wraps it).  meta holds
-    a one-material system's material."""
+    """System A x = b, A any operand with `@` and `shape`; represent maps a
+    solution x to the tuple of PotentialTerms of its fields (reconstruct_fields
+    wraps it).  meta holds a one-material system's material."""
 
-    operator: DenseOperator
+    operator: object
     rhs: np.ndarray = field(repr=False)
     grid: object = field(repr=False)
     represent: Callable = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.operator.matrix.shape[0] != self.rhs.shape[0]:
+        if self.operator.shape[0] != self.rhs.shape[0]:
             raise ValueError("operator and rhs dimensions disagree")
 
 
@@ -130,10 +137,6 @@ def calderon_matrix(material: Material, grid) -> np.ndarray:
     return np.block([[ops["K"], -ops["V"]], [ops["W"], -ops["Kt"]]])
 
 
-def _eye(N: int) -> np.ndarray:
-    return np.eye(N, dtype=complex)
-
-
 def assemble_dirichlet(kind: str, material: Material, grid,
                        coupling=None, incident=None) -> LinearSystem:
     """Combined-field system for the exterior Dirichlet problem.
@@ -153,14 +156,14 @@ def assemble_dirichlet(kind: str, material: Material, grid,
         eta = material.eta_dirichlet if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
-        A = 0.5 * _eye(2 * N) + ops["K"] - 1j * eta * ops["V"]
+        A = 0.5 * np.eye(2 * N) + ops["K"] - 1j * eta * ops["V"]
 
         def represent(x):  # u = DL phi - i eta SL phi
             return _green_terms(material, grid, x, 1j * eta * x, "exterior")
     else:  # CFIER
         kappa = material.kappa if coupling is None else complex(coupling)
         reg = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n)
-        A = 0.5 * _eye(2 * N) + ops["K"] - ops["V"] @ reg
+        A = 0.5 * np.eye(2 * N) + ops["K"] - ops["V"] @ reg
 
         def represent(x):  # u = DL phi - SL R^D phi
             return _green_terms(material, grid, x, reg @ x, "exterior")
@@ -184,7 +187,7 @@ def assemble_neumann(kind: str, material: Material, grid,
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
         ops = boundary_operators(material, grid, tags=("Kt", "W"))
-        A = 0.5 * _eye(2 * N) - ops["Kt"] + 1j * eta * ops["W"]
+        A = 0.5 * np.eye(2 * N) - ops["Kt"] + 1j * eta * ops["W"]
 
         def represent(x):  # u = i eta DL phi - SL phi
             return _green_terms(material, grid, 1j * eta * x, x, "exterior")
@@ -193,7 +196,7 @@ def assemble_neumann(kind: str, material: Material, grid,
         regN = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n).inv()
         if kind == "CFIER":
             ops = boundary_operators(material, grid, tags=("Kt", "W"))
-            A = 0.5 * _eye(2 * N) - ops["Kt"] + ops["W"] @ regN
+            A = 0.5 * np.eye(2 * N) - ops["Kt"] + ops["W"] @ regN
 
             def represent(x):  # u = DL R^N phi - SL phi
                 return _green_terms(material, grid, regN @ x, x, "exterior")
@@ -201,7 +204,7 @@ def assemble_neumann(kind: str, material: Material, grid,
             rhs = (flatten_density(inc_cd.trace)
                    - regN @ flatten_density(inc_cd.traction))
             ops = boundary_operators(material, grid, tags=("K", "W"))
-            A = 0.5 * _eye(2 * N) - ops["K"] + regN @ ops["W"]
+            A = 0.5 * np.eye(2 * N) - ops["K"] + regN @ ops["W"]
 
             def represent(x):  # zero total traction => u_scat = DL g
                 return (PotentialTerm("DL", material, grid,

@@ -235,6 +235,9 @@ def _cells(config: dict) -> list:
     if timing not in ("wall", "none"):
         raise ValueError(f"timing {timing!r} is not 'wall' or 'none'")
 
+    assemble = {"dirichlet": assemble_dirichlet, "neumann": assemble_neumann,
+                "transmission": assemble_transmission}.get(problem)
+
     def cell(omega, n, name, label, coupling):
         t0 = time.perf_counter()
         grid = sample_grid(curve, n)
@@ -243,9 +246,12 @@ def _cells(config: dict) -> list:
         if problem == "manufactured":
             err = _manufactured_cell(name, mats[0], grid, a, b)
         else:
-            iterations, converged = _iterative_cell(
-                problem, name, mats, grid, coupling, source(mats[0], a, b),
-                tol, maxiter)
+            # every assembler takes the coupling (eta or kappa) after the grid
+            args = (*mats, grid, coupling, source(mats[0], a, b))
+            system = (assemble_ddm(*args) if name == "OS"
+                      else assemble(name, *args))
+            report = gmres(system.operator, system.rhs, tol, maxiter)
+            iterations, converged = report.iterations, report.converged
         seconds = 0.0 if timing == "none" else time.perf_counter() - t0
         return ReportRow(omega=omega, n=n,
                          formulation=label if converged else label + "!",
@@ -270,25 +276,6 @@ def _manufactured_cell(form, material, grid, x0, q) -> float:
     reference = _point_source_far_field(material, x0, q, *default_directions())
     ff = far_field(rep, directions=reference.directions)
     return eps_inf(ff, reference)
-
-
-def _iterative_cell(problem, name, mats, grid, coupling, incident, tol,
-                    maxiter):
-    """(iterations, converged) of `name` on mats, (exterior[, interior])."""
-    if problem == "dirichlet":
-        system = assemble_dirichlet(name, *mats, grid, coupling=coupling,
-                                    incident=incident)
-    elif problem == "neumann":
-        system = assemble_neumann(name, *mats, grid, coupling=coupling,
-                                  incident=incident)
-    elif name == "OS":
-        system = assemble_ddm(*mats, grid, kappa=coupling, incident=incident)
-    else:
-        system = assemble_transmission(name, *mats, grid, kappa=coupling,
-                                       incident=incident)
-    report = gmres(system.operator.matrix, system.rhs, tol=tol,
-                   maxiter=maxiter)
-    return report.iterations, report.converged
 
 
 def _point_source_far_field(material, x0, q, angles, dirs) -> FarField:
