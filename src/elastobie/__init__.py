@@ -17,7 +17,7 @@ from .materials import (
     point_source,
     trace_and_traction,
 )
-from .kernels import fundamental_solution, kernel_split, KernelSplit
+from .kernels import kernel_split, KernelSplit
 from .quadrature import QuadratureSet, build_quadrature, assemble_bio
 from .multipliers import (
     Symbol,
@@ -37,13 +37,7 @@ from .formulations import (
     assemble_transmission,
     reconstruct_fields,
 )
-from .ddm import (
-    RtRMap,
-    rtr_interior,
-    rtr_exterior,
-    assemble_ddm,
-    bplus_principal_symbol,
-)
+from .ddm import RtRMap, rtr_interior, rtr_exterior, assemble_ddm
 from .postprocess import FarField, eval_potential, far_field, eps_inf
 from .harness import ReportRow, run_experiment, emit_table, PRESETS
 

@@ -36,8 +36,10 @@ The exterior map has three discretizations:
 * "single":  one second-kind equation B+ phi = lambda_+ for the ansatz
   u+ = DL+[R^os phi] - SL+[PS_kappa(Y+) R^os phi], R^os = (PS_kappa(Y+) -
   PS_kappa(Y-))^{-1}, whose Cauchy data are (1/2 I + C)(R^os phi,
-  PS_kappa(Y+) R^os phi); B+'s principal part is exactly the identity
-  (see bplus_principal_symbol).
+  PS_kappa(Y+) R^os phi); B+'s principal symbol is exactly the identity.
+
+Every subdomain inverse (a Robin system, or B+) is applied through the LU
+factors of its transpose, with two triangular solves and the row swaps.
 """
 
 from __future__ import annotations
@@ -52,12 +54,12 @@ from scipy.linalg import solve_triangular
 from .formulations import (LinearSystem, _green_terms,
                            _incident_cauchy_data, calderon_matrix)
 from .materials import Material
-from .multipliers import (Symbol, identity_symbol, make_symbol, ps_dtn,
-                          symbol_matrix, transmission_operators)
+from .multipliers import (Symbol, ps_dtn, symbol_matrix,
+                          transmission_operators)
 from .quadrature import flatten_density
 
 __all__ = ["RtRMap", "SchwarzOperator", "rtr_interior", "rtr_exterior",
-           "assemble_ddm", "bplus_principal_symbol"]
+           "assemble_ddm"]
 
 EPS = 0.1  # weight of the regularizing Vtilde rows of the "eps" variant
 
@@ -91,6 +93,21 @@ class SchwarzOperator:
                                minus - self.s_plus @ plus])
 
 
+def _lu_inverse(AT: np.ndarray) -> Callable:
+    """x -> A^-1 x (vector or matrix x), factoring the Fortran-ordered
+    complex AT = A^T in place.  With A^T = P L U, A = U^T L^T P^T: two
+    triangular solves and the row swaps, faster than lu_solve on one
+    right-hand side."""
+    lu, piv = scipy.linalg.lu_factor(AT, overwrite_a=True)  # no copy
+
+    def solve(x):
+        x = solve_triangular(lu, x, trans=1, check_finite=False)
+        x = solve_triangular(lu, x, trans=1, lower=True, unit_diagonal=True,
+                             check_finite=False)
+        return scipy.linalg.lapack.zlaswp(x, piv, inc=-1)
+    return solve
+
+
 def _robin_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol,
                vt: Symbol | None = None) -> RtRMap:
     """RtR map of the subdomain on `side` (+1 exterior, -1 interior).  Its
@@ -104,17 +121,11 @@ def _robin_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol,
         V = symbol_matrix(vt, L // 4)
         C[:L, :L] += V @ ups
         C[:L, L:] += V
-    lu, piv = scipy.linalg.lu_factor(C.T, overwrite_a=True)  # no copy
+    solve = _lu_inverse(C.T)
 
-    def cauchy_data(lam):
-        # A^-1 (vt lam, side lam) with A = U^T L^T P^T: two triangular solves
-        # and the row swaps, faster than lu_solve on one right-hand side
-        x = np.concatenate([np.zeros_like(lam) if vt is None else vt @ lam,
-                            side * lam])
-        x = solve_triangular(lu, x, trans=1, check_finite=False)
-        x = solve_triangular(lu, x, trans=1, lower=True, unit_diagonal=True,
-                             check_finite=False)
-        return scipy.linalg.lapack.zlaswp(x, piv, inc=-1)
+    def cauchy_data(lam):  # A^-1 (vt lam, side lam)
+        return solve(np.concatenate([
+            np.zeros_like(lam) if vt is None else vt @ lam, side * lam]))
     return RtRMap(cauchy_data, ups_out)
 
 
@@ -143,9 +154,8 @@ def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
     C[np.diag_indices_from(C)] += 0.5
     D = C[:, :L] @ Ros + C[:, L:] @ (ps_p @ Ros)  # Cauchy data of u+ per phi
     B = D[L:] + ups_plus @ D[:L]
-    lu = scipy.linalg.lu_factor(B)
-    return RtRMap(lambda lam: D @ scipy.linalg.lu_solve(lu, lam), ups_minus,
-                  meta={"bplus": B})
+    solve = _lu_inverse(B.T.copy(order="F"))
+    return RtRMap(lambda lam: D @ solve(lam), ups_minus, meta={"bplus": B})
 
 
 def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
@@ -175,22 +185,3 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
                 + _green_terms(mat_minus, grid, *np.split(minus, 2), "interior"))
     M = SchwarzOperator(S_plus, S_minus, shape=(len(rhs), len(rhs)))
     return LinearSystem(operator=M, rhs=rhs, grid=grid, represent=represent)
-
-
-def bplus_principal_symbol(mat_plus: Material, mat_minus: Material,
-                           kappa: complex, n_max: int = 256) -> Symbol:
-    """Per-mode principal symbol of the single-equation exterior RtR
-    operator B+; it collapses to the identity exactly."""
-    kappa = complex(kappa)
-    H = make_symbol("H", n_max=n_max)
-    Lk = make_symbol("LambdaKappa", kappa=kappa, n_max=n_max)
-    Lki = make_symbol("LambdaKappaInv", kappa=kappa, n_max=n_max)
-    ps_p = ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=n_max)
-    ps_m = ps_dtn(mat_minus, "interior", kappa=kappa, n_max=n_max)
-    Ros = (ps_p - ps_m).inv()
-    Ks = mat_plus.alpha * H                    # PS(K+) = PS(K+^T)
-    Vs = mat_plus.beta * Lk                    # PS(V+)
-    Ws = mat_plus.delta * Lki                  # PS(W+)
-    traction_part = Ws + 0.5 * ps_p - Ks @ ps_p
-    trace_part = 0.5 * identity_symbol(n_max) + Ks - Vs @ ps_p
-    return (traction_part - ps_m @ trace_part) @ Ros

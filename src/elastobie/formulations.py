@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _kernel_splits
+from .kernels import TAGS, _kernel_splits
 from .materials import Material, trace_and_traction
 from .multipliers import make_transmission_regularizer, ps_dtn
 from .quadrature import (assemble_bio, build_quadrature, flatten_density,
@@ -116,25 +116,19 @@ def _green_terms(material: Material, grid, a, b, region: str) -> tuple:
             PotentialTerm("SL", material, grid, b, region))
 
 
-def boundary_operators(material: Material, grid, tags=("V", "K", "Kt", "W")) -> dict:
-    """Assemble the requested dense boundary integral operators.
-
-    Kt is K's transpose: its split is K's block transpose, R and T are
-    exactly symmetric, pv is exactly antisymmetric and J^T = -J.
-    """
+def boundary_operators(material: Material, grid, tags=TAGS) -> dict:
+    """Assemble the requested dense boundary integral operators (of V, K
+    and W).  The adjoint double layer K^T is K.T: R and T are exactly
+    symmetric, pv is exactly antisymmetric and J^T = -J."""
     quad = build_quadrature(grid.n)
-    splits = _kernel_splits(material, grid, dict.fromkeys(
-        "K" if tag == "Kt" else tag for tag in tags))
-    ops = {tag: assemble_bio(split, quad, grid) for tag, split in splits.items()}
-    if "Kt" in tags:
-        ops["Kt"] = ops["K"].T.copy()
-    return {tag: ops[tag] for tag in tags}
+    splits = _kernel_splits(material, grid, tags)
+    return {tag: assemble_bio(split, quad, grid) for tag, split in splits.items()}
 
 
 def calderon_matrix(material: Material, grid) -> np.ndarray:
     """Dense 8n x 8n Calderon block operator C = [[K, -V], [W, -K^T]]."""
     ops = boundary_operators(material, grid)
-    return np.block([[ops["K"], -ops["V"]], [ops["W"], -ops["Kt"]]])
+    return np.block([[ops["K"], -ops["V"]], [ops["W"], -ops["K"].T]])
 
 
 def assemble_dirichlet(kind: str, material: Material, grid,
@@ -186,8 +180,8 @@ def assemble_neumann(kind: str, material: Material, grid,
         eta = material.eta_neumann if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
-        ops = boundary_operators(material, grid, tags=("Kt", "W"))
-        A = 0.5 * np.eye(2 * N) - ops["Kt"] + 1j * eta * ops["W"]
+        ops = boundary_operators(material, grid, tags=("K", "W"))
+        A = 0.5 * np.eye(2 * N) - ops["K"].T + 1j * eta * ops["W"]
 
         def represent(x):  # u = i eta DL phi - SL phi
             return _green_terms(material, grid, 1j * eta * x, x, "exterior")
@@ -195,8 +189,8 @@ def assemble_neumann(kind: str, material: Material, grid,
         kappa = material.kappa if coupling is None else complex(coupling)
         regN = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n).inv()
         if kind == "CFIER":
-            ops = boundary_operators(material, grid, tags=("Kt", "W"))
-            A = 0.5 * np.eye(2 * N) - ops["Kt"] + ops["W"] @ regN
+            ops = boundary_operators(material, grid, tags=("K", "W"))
+            A = 0.5 * np.eye(2 * N) - ops["K"].T + ops["W"] @ regN
 
             def represent(x):  # u = DL R^N phi - SL phi
                 return _green_terms(material, grid, regN @ x, x, "exterior")

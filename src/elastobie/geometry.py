@@ -76,7 +76,6 @@ class CurveGrid:
     n: int
     t: np.ndarray = field(repr=False)
     x: np.ndarray = field(repr=False)
-    dx: np.ndarray = field(repr=False)
     nu: np.ndarray = field(repr=False)
     speed: np.ndarray = field(repr=False)
 
@@ -137,16 +136,6 @@ def sample_grid(curve: Curve, n: int) -> CurveGrid:
     if n < 4:
         raise ValueError("n must be at least 4")
     t = np.arange(2 * n) * np.pi / n
-    x = curve.eval(t, 0)
-    dx = curve.eval(t, 1)
-    nu = np.stack([dx[:, 1], -dx[:, 0]], axis=-1)
-    speed = np.linalg.norm(dx, axis=1)
-    return CurveGrid(
-        curve=curve,
-        n=n,
-        t=t,
-        x=x,
-        dx=dx,
-        nu=nu,
-        speed=speed,
-    )
+    nu = curve.normal(t)
+    return CurveGrid(curve=curve, n=n, t=t, x=curve.eval(t, 0), nu=nu,
+                     speed=np.linalg.norm(nu, axis=1))

@@ -274,8 +274,7 @@ def _manufactured_cell(form, material, grid, x0, q) -> float:
         terms=(PotentialTerm(_MANUFACTURED_LAYERS[form], material, grid,
                              density),))
     reference = _point_source_far_field(material, x0, q, *default_directions())
-    ff = far_field(rep, directions=reference.directions)
-    return eps_inf(ff, reference)
+    return eps_inf(far_field(rep), reference)
 
 
 def _point_source_far_field(material, x0, q, angles, dirs) -> FarField:

@@ -31,9 +31,9 @@ negated and the normals exchanged, on the same radial suites.  Each kernel
 is a sum of radial functions times real 2x2 tensors (A, G A, C for K; the
 products with U1(nu_tau, r) and the tractions of A, G A, C for W), written
 out in closed form by component and built once per set of pairs for both
-bases.  The adjoint double layer K^T is not split here: its assembled
-operator is K's transpose (formulations.boundary_operators).  Splits are
-stored component-major too, as (2, 2, N, N) arrays indexed [p, q, i, m].
+bases.  The adjoint double layer K^T is not split here: it is the assembled
+K's transpose, K.T.  Splits are stored component-major too, as (2, 2, N, N)
+arrays indexed [p, q, i, m].
 """
 
 from __future__ import annotations
@@ -46,22 +46,9 @@ import numpy as np
 from .quadrature import _I2
 from .special import radial_suite
 
-__all__ = ["KernelSplit", "fundamental_solution", "kernel_split", "TAGS"]
+__all__ = ["KernelSplit", "kernel_split", "TAGS"]
 
 TAGS = ("V", "K", "W")
-
-
-def fundamental_solution(material, x, y):
-    """Phi(x, y) = Phi1(r) I + Phi2(r) G(x - y), shape (..., 2, 2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rvec = x - y
-    r = np.linalg.norm(rvec, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("fundamental solution evaluated on the diagonal")
-    rs = radial_suite(material, r, basis="hankel")
-    G = np.einsum("...i,...j->...ij", rvec, rvec) / (r**2)[..., None, None]
-    return rs.Phi1[..., None, None] * _I2 + rs.Phi2[..., None, None] * G
 
 
 # ---------------------------------------------------------------------------
@@ -279,24 +266,28 @@ def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
 
     The smooth remainder kernel - singular parts - log part (and the W log
     coefficient) is evaluated at the parameter pairs (t_i +- h, t_i) of all
-    steps h from one pair-field build and extrapolated to h -> 0.
+    steps h from one pair-field build, and its even part is extrapolated to
+    h -> 0 along the parameterization.
+
+    Steps stay >= ~4e-3 so the subtractive evaluation of the remainder never
+    enters its rounding-noise regime (the hypersingular remainder is computed
+    as a difference of csc^2-sized terms); the ratio 1/sqrt(2) trades step
+    count for depth, which Neville in h^2 converts into ~1e-8 absolute
+    accuracy of the diagonal limits.
     """
-    curve = grid.curve
-    with_w_log = "W" in tags
-
-    def fn(tau, t):
-        pf = _PairFields(material, *(np.moveaxis(v, -1, 0) for v in (
-            curve.eval(tau), curve.normal(tau), curve.eval(t), curve.normal(t))))
-        mlogs, smooths = _split_values(material, pf, _radial_suites(
-            material, pf.r, tags), tags, tau - t)
-        out = [smooths[tag] for tag in tags]
-        if with_w_log:
-            out.append(mlogs["W"])
-        return np.stack(out)
-
-    limits = _diag_extrapolate(fn, grid, material)
-    smooth = dict(zip(tags, limits))
-    return smooth, ({"W": limits[-1]} if with_w_log else {})
+    curve, t, steps = grid.curve, grid.t[None, :], 7
+    hs = min(5e-2, 0.8 / material.ks) * (0.5**0.5) ** np.arange(steps)
+    # (2 steps, 2n) parameter pairs: offsets +hs, then -hs
+    tau = t + np.concatenate([hs, -hs])[:, None]
+    pf = _PairFields(material, *(np.moveaxis(v, -1, 0) for v in (
+        curve.eval(tau), curve.normal(tau), curve.eval(t), curve.normal(t))))
+    mlogs, smooths = _split_values(material, pf, _radial_suites(
+        material, pf.r, tags), tags, tau - t)
+    vals = np.stack([smooths[tag] for tag in tags]
+                    + ([mlogs["W"]] if "W" in tags else []))
+    even = 0.5 * (vals[..., :steps, :] + vals[..., steps:, :])
+    limits = _neville_even(np.swapaxes(even, -1, -2), hs)
+    return dict(zip(tags, limits)), ({"W": limits[-1]} if "W" in tags else {})
 
 
 def _neville_even(values, h):
@@ -314,25 +305,6 @@ def _neville_even(values, h):
             new.append(num / (h2[j] - h2[j + level]))
         tab = new
     return tab[0]
-
-
-def _diag_extrapolate(fn, grid, material, steps: int = 7):
-    """Diagonal limit of a smooth biperiodic pair function by even-part
-    extrapolation along the parameterization.
-
-    Steps stay >= ~4e-3 so the subtractive evaluation of the remainder never
-    enters its rounding-noise regime (the hypersingular remainder is computed
-    as a difference of csc^2-sized terms); the ratio 1/sqrt(2) trades step
-    count for depth, which Neville in h^2 converts into ~1e-8 absolute
-    accuracy of the diagonal limits.
-    """
-    h0 = min(5e-2, 0.8 / material.ks)
-    hs = h0 * (0.5**0.5) ** np.arange(steps)
-    t = grid.t
-    # fn on all steps at once: (..., 2 steps, 2n) at offsets +hs, then -hs
-    vals = fn(t + np.concatenate([hs, -hs])[:, None], t[None, :])
-    even = 0.5 * (vals[..., :steps, :] + vals[..., steps:, :])
-    return _neville_even(np.swapaxes(even, -1, -2), hs)
 
 
 def _kernel_splits(material, grid, tags) -> dict:

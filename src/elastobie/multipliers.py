@@ -233,7 +233,6 @@ class TransmissionRegularizer:
     Cauchy data, with blocks R = [[R11, R12], [R21, R22]]."""
 
     R: Symbol
-    rho: float
     kappa: tuple  # (kappa_plus, kappa_minus) used in (C+, C-)
 
     @property
@@ -306,7 +305,7 @@ def make_transmission_regularizer(mat_plus, mat_minus, kappa=None,
         if not np.allclose(probe, rho * np.eye(4), atol=1e-11 * max(1.0, rho)):
             raise AssertionError("(C+ + C-)^2 = rho I failed at mode 1")
     R = Symbol(n_max, (S @ (0.5 * np.eye(4) + Cm)) / rho)
-    return TransmissionRegularizer(R=R, rho=rho, kappa=(kap_p, kap_m))
+    return TransmissionRegularizer(R=R, kappa=(kap_p, kap_m))
 
 
 def transmission_operators(mat_plus, mat_minus, kappa: complex,

@@ -105,6 +105,8 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
         angles, dirs = default_directions()
     else:
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+        if not np.all(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= 1e-12):
+            raise ValueError("directions must be finite unit vectors")
         angles = np.arctan2(dirs[:, 1], dirs[:, 0]) % (2.0 * np.pi)
     terms = [t for t in representation.terms if t.region == region]
     if not terms:

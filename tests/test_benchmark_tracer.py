@@ -1,9 +1,11 @@
-"""Guard for the benchmark's tracer (perfbench/tracer.py): every function it
-traces still exists under its name in its elastobie module, and takes the
-argument names that the tracer's span records read."""
+"""Guard for the benchmark (perfbench/): every function its tracer traces
+still exists under its name in its elastobie module and takes the argument
+names that the tracer's span records read, and every `eb.<name>` that its
+scripts call is still exported by elastobie."""
 
 import importlib
 import inspect
+import re
 import sys
 import types
 from pathlib import Path
@@ -13,7 +15,8 @@ import pytest
 
 import elastobie as eb
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -58,3 +61,10 @@ def test_span_records_bind_their_arguments(tracer, mat21):
     assert infos["solvers.gmres"] == 1
     assert infos["kernels.kernel_split"][-2:] == (8, "V")
 
+
+
+def test_every_name_the_benchmark_calls_is_exported():
+    names = {name for path in PERFBENCH.glob("*.py")
+             for name in re.findall(r"\beb\.(\w+)", path.read_text())}
+    assert "run_experiment" in names  # the scan sees the workloads
+    assert not {name for name in names if not hasattr(eb, name)}

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from elastobie import (assemble_ddm, assemble_transmission,
-                       bplus_principal_symbol, eps_inf, far_field, gmres,
-                       lu_solve, make_curve, make_material, plane_wave,
-                       point_source, reconstruct_fields, sample_grid,
-                       trace_and_traction)
+from elastobie import (assemble_ddm, assemble_transmission, eps_inf,
+                       far_field, gmres, lu_solve, make_curve, make_material,
+                       plane_wave, point_source, reconstruct_fields,
+                       sample_grid, trace_and_traction)
 from elastobie.ddm import EPS, _robin_map, rtr_exterior, rtr_interior
 from elastobie.formulations import boundary_operators, calderon_matrix
 from elastobie.multipliers import (identity_symbol, make_symbol, ps_dtn,
@@ -39,7 +38,7 @@ def robin(grid, mats):
     return transmission_operators(mp, mm, mm.kappa, n_max=grid.n)
 
 
-def test_bplus_principal_symbol_is_identity(mats):
+def test_bplus_principal_symbol_is_identity(mats, bplus_principal_symbol):
     mp, mm = mats
     sym = bplus_principal_symbol(mp, mm, mm.kappa, n_max=64)
     for k in range(-64, 65):
@@ -58,11 +57,11 @@ def test_robin_systems_match_the_block_construction(grid, mats, robin,
     ops = boundary_operators(mm, grid)
     interior = np.block([
         [-0.5 * I - ops["K"], ops["V"]],
-        [ops["W"] - symbol_matrix(Um, grid.n), -0.5 * I - ops["Kt"]]])
+        [ops["W"] - symbol_matrix(Um, grid.n), -0.5 * I - ops["K"].T]])
     ops = boundary_operators(mp, grid)
     plain = np.block([
         [0.5 * I - ops["K"], ops["V"]],
-        [ops["W"] + symbol_matrix(Up, grid.n), 0.5 * I - ops["Kt"]]])
+        [ops["W"] + symbol_matrix(Up, grid.n), 0.5 * I - ops["K"].T]])
     lu_factor = scipy.linalg.lu_factor
     factored = []
 
@@ -104,7 +103,7 @@ def _dense_rtr_maps(mp, mm, grid, Up, Um):
                                           ("eps", mp, +1, Up_m, Um)):
         ops = boundary_operators(mat, grid)
         A = np.block([[side * 0.5 * I - ops["K"], ops["V"]],
-                      [ops["W"] + side * ups, side * 0.5 * I - ops["Kt"]]])
+                      [ops["W"] + side * ups, side * 0.5 * I - ops["K"].T]])
         rhs = np.zeros((2 * L, L), dtype=complex)
         rhs[L:] = side * I
         if name == "eps":
@@ -170,6 +169,25 @@ def test_gmres_on_matrix_free_and_dense_schwarz_systems_agree(starfish64,
     dense = gmres(M, system.rhs, tol=1e-8)
     assert free.converged and free.iterations == dense.iterations == 35
     assert np.linalg.norm(free.x - dense.x) <= 1e-10 * np.linalg.norm(dense.x)
+
+
+def test_no_schwarz_product_calls_lu_solve(grid, mats, robin, monkeypatch):
+    # Every subdomain inverse is applied by two triangular solves and the
+    # row swaps; lu_solve on one right-hand side costs about twice that.
+    def no_lu_solve(*args, **kwargs):
+        raise AssertionError("lu_solve called in a Schwarz product")
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", no_lu_solve)
+    mp, mm = mats
+    Up, Um = robin
+    x = np.ones(2 * grid.size, dtype=complex)
+    for variant in ("plain", "eps", "single"):
+        S = rtr_exterior(mp, mm, grid, mm.kappa, Up, Um, variant=variant)
+        assert np.all(np.isfinite(S @ x)), variant
+    system = assemble_ddm(mp, mm, grid,
+                          incident=plane_wave(mp, [1.0, 0.0], [1.0, 0.0]),
+                          variant="single")
+    assert np.all(np.isfinite(system.operator @ system.rhs))
 
 
 def test_robin_map_allocates_little_beyond_its_calderon_matrix(preset_mats):

@@ -71,9 +71,10 @@ def test_grid_layout(starfish32):
     g = starfish32
     assert g.size == 64
     assert np.allclose(np.diff(g.t), np.pi / g.n)
-    assert np.allclose(g.nu[:, 0], g.dx[:, 1])
-    assert np.allclose(g.nu[:, 1], -g.dx[:, 0])
-    assert np.allclose(g.speed, np.linalg.norm(g.dx, axis=-1))
+    dx = g.curve.eval(g.t, 1)
+    assert np.allclose(g.nu[:, 0], dx[:, 1])
+    assert np.allclose(g.nu[:, 1], -dx[:, 0])
+    assert np.allclose(g.speed, np.linalg.norm(dx, axis=-1))
 
 
 def test_error_paths():

@@ -67,6 +67,16 @@ def test_default_directions_layout():
     assert np.allclose(dirs[:, 0], np.cos(angles))
 
 
+@pytest.mark.parametrize("bad", [[[2.0, 0.0]], [[0.0, 0.0]],
+                                 [[np.nan, 0.0]], [[1.0, 0.0], [0.0, 1.1]]])
+def test_far_field_rejects_non_unit_directions(setup, bad):
+    *_, rep = setup
+    with pytest.raises(ValueError, match="directions"):
+        far_field(rep, directions=bad)
+    ff = far_field(rep, directions=[[0.6, 0.8]])  # a unit row is accepted
+    assert ff.up.shape == (1, 2)
+
+
 def test_eps_inf_is_zero_on_identical_fields(setup):
     *_, rep = setup
     ff = far_field(rep)
