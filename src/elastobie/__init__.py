@@ -7,6 +7,8 @@ and transmission problems, and an optimized Schwarz domain-decomposition
 solver built on Robin-to-Robin maps.
 """
 
+from types import ModuleType as _ModuleType
+
 from .geometry import Curve, CurveGrid, make_curve, sample_grid
 from .materials import (
     Material,
@@ -41,5 +43,7 @@ from .ddm import RtRMap, rtr_interior, rtr_exterior, assemble_ddm
 from .postprocess import FarField, eval_potential, far_field, eps_inf
 from .harness import ReportRow, run_experiment, emit_table, PRESETS
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imports above bind their submodules too, which are not exported
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ The parameterization convention follows x : [0, 2pi) -> R^2 with the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,8 @@ class Curve:
         self.cos_coeffs = _pad(self.cos_coeffs, m)
         self.sin_coeffs = _pad(self.sin_coeffs, m)
         self.name = name
+        if not np.isfinite([self.cos_coeffs, self.sin_coeffs]).all():
+            raise ValueError(f"curve {name!r} has non-finite coefficients")
         # Regularity scan: |x'| must not vanish.
         tt = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
         speed = np.linalg.norm(self.eval(tt, 1), axis=1)
@@ -90,8 +93,8 @@ def make_curve(kind: str, params: dict | None = None) -> Curve:
     params = dict(params or {})
     if kind == "circle":
         r = float(params.get("radius", 1.0))
-        if r <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < r < np.inf:
+            raise ValueError(f"radius {r!r} is not a positive finite number")
         # x1 = r cos t, x2 = r sin t
         cos_c = [[0.0, r], [0.0, 0.0]]
         sin_c = [[0.0, 0.0], [0.0, r]]
@@ -133,8 +136,8 @@ def make_curve(kind: str, params: dict | None = None) -> Curve:
 
 def sample_grid(curve: Curve, n: int) -> CurveGrid:
     """Sample the curve at the 2n equispaced Nystrom nodes t_j = j pi/n."""
-    if n < 4:
-        raise ValueError("n must be at least 4")
+    if not (isinstance(n, numbers.Integral) and n >= 4):
+        raise ValueError(f"n {n!r} is not an integer >= 4")
     t = np.arange(2 * n) * np.pi / n
     nu = curve.normal(t)
     return CurveGrid(curve=curve, n=n, t=t, x=curve.eval(t, 0), nu=nu,

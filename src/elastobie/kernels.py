@@ -260,51 +260,39 @@ class KernelSplit:
     M_smooth: np.ndarray = field(repr=False)
 
 
+# Diagonal extrapolation steps h_j = h_0 2^(-j/2) over h_0, and the weight of
+# the samples at +-h_j: half the Lagrange weight at 0 of the interpolant in h^2.
+_STEPS = (0.5**0.5) ** np.arange(7)
+_LIMIT_WEIGHTS = np.tile([0.5 * np.prod([x / (x - xj) for x in np.delete(
+    _STEPS**2, j)]) for j, xj in enumerate(_STEPS**2)], 2)
+
+
 def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
     """Diagonal limits, as (2, 2, N) component arrays, of M_smooth for every
     tag and of M_log for W.
 
     The smooth remainder kernel - singular parts - log part (and the W log
     coefficient) is evaluated at the parameter pairs (t_i +- h, t_i) of all
-    steps h from one pair-field build, and its even part is extrapolated to
-    h -> 0 along the parameterization.
+    steps h from one pair-field build and extrapolated to h -> 0 as one
+    weighted sum, which interpolates its even part in h^2.
 
     Steps stay >= ~4e-3 so the subtractive evaluation of the remainder never
     enters its rounding-noise regime (the hypersingular remainder is computed
     as a difference of csc^2-sized terms); the ratio 1/sqrt(2) trades step
-    count for depth, which Neville in h^2 converts into ~1e-8 absolute
-    accuracy of the diagonal limits.
+    count for depth, which the interpolation in h^2 converts into ~1e-8
+    absolute accuracy of the diagonal limits.
     """
-    curve, t, steps = grid.curve, grid.t[None, :], 7
-    hs = min(5e-2, 0.8 / material.ks) * (0.5**0.5) ** np.arange(steps)
-    # (2 steps, 2n) parameter pairs: offsets +hs, then -hs
-    tau = t + np.concatenate([hs, -hs])[:, None]
+    curve, t = grid.curve, grid.t[None, :]
+    hs = min(5e-2, 0.8 / material.ks) * _STEPS
+    tau = t + np.concatenate([hs, -hs])[:, None]  # offsets +hs, then -hs
     pf = _PairFields(material, *(np.moveaxis(v, -1, 0) for v in (
         curve.eval(tau), curve.normal(tau), curve.eval(t), curve.normal(t))))
     mlogs, smooths = _split_values(material, pf, _radial_suites(
         material, pf.r, tags), tags, tau - t)
     vals = np.stack([smooths[tag] for tag in tags]
                     + ([mlogs["W"]] if "W" in tags else []))
-    even = 0.5 * (vals[..., :steps, :] + vals[..., steps:, :])
-    limits = _neville_even(np.swapaxes(even, -1, -2), hs)
+    limits = np.tensordot(vals, _LIMIT_WEIGHTS, axes=([-2], [0]))
     return dict(zip(tags, limits)), ({"W": limits[-1]} if "W" in tags else {})
-
-
-def _neville_even(values, h):
-    """Richardson/Neville extrapolation to h -> 0 of even-in-h data.
-
-    values: (..., m) samples of the even part at steps h[0..m-1].
-    """
-    m = len(h)
-    tab = [np.asarray(v, dtype=complex) for v in np.moveaxis(values, -1, 0)]
-    h2 = np.asarray(h, dtype=float) ** 2
-    for level in range(1, m):
-        new = []
-        for j in range(m - level):
-            num = h2[j] * tab[j + 1] - h2[j + level] * tab[j]
-            new.append(num / (h2[j] - h2[j + level]))
-        tab = new
-    return tab[0]
 
 
 def _kernel_splits(material, grid, tags) -> dict:

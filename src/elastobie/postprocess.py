@@ -56,6 +56,9 @@ def eval_potential(representation, points, region: str = "exterior") -> np.ndarr
     one (material, grid) share one pair geometry and radial suite.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not (points.ndim == 2 and points.shape[1] == 2 and len(points)
+            and np.isfinite(points).all()):
+        raise ValueError(f"points {points.shape} are not a finite (M > 0, 2) array")
     terms = [t for t in representation.terms if t.region == region]
     if not terms:
         raise ValueError(f"representation has no {region!r} terms")

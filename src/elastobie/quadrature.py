@@ -21,9 +21,11 @@ matrices built from one column each.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "QuadratureSet",
@@ -63,8 +65,8 @@ def build_quadrature(n: int) -> QuadratureSet:
     k = 0..n and mirrored, so R and T are exactly symmetric and pv exactly
     antisymmetric, at O(n^2) cost.
     """
-    if n < 4:
-        raise ValueError("n must be at least 4")
+    if not (isinstance(n, numbers.Integral) and n >= 4):
+        raise ValueError(f"n {n!r} is not an integer >= 4")
     k = np.arange(n + 1)
     j = np.arange(1, n)
     jd = (np.outer(k, j) % (2 * n)) * (np.pi / n)  # j d_k reduced to [0, 2 pi)
@@ -84,8 +86,7 @@ def _circulant(half: np.ndarray, odd: bool = False) -> np.ndarray:
     col = np.concatenate([half, -tail if odd else tail])
     if odd:
         col[0] = col[n] = 0.0
-    offset = np.arange(2 * n)
-    return col[(offset[:, None] - offset[None, :]) % (2 * n)]
+    return scipy.linalg.circulant(col)
 
 
 def flatten_density(values: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ side is ||b|| Q[:, 0], and convergence is declared on ||b - A x|| / ||b||.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,9 @@ def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
     here by reorthogonalization).  A zero pivot of the projected system
     stops the solve unconverged, with the iterate of the steps before it.
     """
+    if not (maxiter is None
+            or isinstance(maxiter, numbers.Integral) and maxiter >= 1):
+        raise ValueError(f"maxiter {maxiter!r} is not None or an integer >= 1")
     b = np.asarray(b, dtype=complex)
     N = b.size
     maxiter = N if maxiter is None else min(maxiter, N)

@@ -63,6 +63,11 @@ def test_span_records_bind_their_arguments(tracer, mat21):
 
 
 
+def test_star_import_binds_no_module():
+    assert not [name for name in eb.__all__
+                if isinstance(getattr(eb, name), types.ModuleType)]
+
+
 def test_every_name_the_benchmark_calls_is_exported():
     names = {name for path in PERFBENCH.glob("*.py")
              for name in re.findall(r"\beb\.(\w+)", path.read_text())}

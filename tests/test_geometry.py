@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from elastobie import make_curve, sample_grid
+from elastobie import build_quadrature, make_curve, sample_grid
 from elastobie.geometry import Curve
 
 
@@ -89,6 +89,20 @@ def test_error_paths():
     with pytest.raises(ValueError):
         # constant map: |x'| vanishes identically
         Curve([[1.0], [0.5]], [[0.0], [0.0]])
+    for radius in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="radius"):
+            make_curve("circle", {"radius": radius})
+    with pytest.raises(ValueError, match="non-finite"):
+        make_curve("fourier_custom", {"cos": [[0.0, 1.0], [0.0, np.nan]],
+                                      "sin": [[0.0, 0.0], [0.0, 1.0]]})
+
+
+@pytest.mark.parametrize("n", [8.5, 8.0, "8"])
+def test_non_integer_n_is_rejected(n):
+    with pytest.raises(ValueError, match="^n "):
+        sample_grid(make_curve("circle"), n)
+    with pytest.raises(ValueError, match="^n "):
+        build_quadrature(n)
 
 
 def test_fourier_custom_round_trip():

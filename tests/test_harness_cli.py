@@ -240,6 +240,8 @@ def test_missing_config_field_fails_early(monkeypatch, field, config):
         "exterior": {"lam": 1.0, "mu": 1.0},
         "interior": {"lam": -3.0, "mu": 2.0}})),
     ("geometry.kind", dict(SMOKE, geometry={"kind": "blob"})),
+    ("geometry.kind", dict(SMOKE, geometry={"kind": "circle",
+                                            "radius": float("nan")})),
     # normalizing a zero direction gives NaN, which no cell can run
     ("incidence.direction", dict(SMOKE, incidence={"type": "P",
                                                    "direction": [0.0, 0.0]})),

@@ -7,7 +7,8 @@ from scipy.special import hankel1
 
 from elastobie import kernel_split
 from elastobie.formulations import boundary_operators
-from elastobie.kernels import TAGS, _c_hs, _c_pv, _kernel_splits
+from elastobie.kernels import (TAGS, _LIMIT_WEIGHTS, _STEPS, _c_hs, _c_pv,
+                               _kernel_splits)
 from elastobie.special import _family, radial_suite
 
 
@@ -55,10 +56,33 @@ def test_hankel_family_matches_amos_hankel():
     # The Cephes J + i Y evaluation against scipy's AMOS hankel1.
     for k in (0.5, 3.0, 40.0):
         w = np.geomspace(1e-6, 400.0, 4001)
-        f = _family(k, w / k, "hankel", False)
+        (F0, F1), _ = _family(k, w / k, "hankel", False)
         h0, h1 = 0.25j * hankel1(0, w), 0.25j * hankel1(1, w)
-        assert (np.abs(f["F0"] - h0) / np.abs(h0)).max() <= 1e-13
-        assert (np.abs(f["F1"] * w - h1) / np.abs(h1)).max() <= 1e-13
+        assert (np.abs(F0 - h0) / np.abs(h0)).max() <= 1e-13
+        assert (np.abs(F1 * w - h1) / np.abs(h1)).max() <= 1e-13
+
+
+def test_log_family_is_continuous_across_the_series_switch():
+    # c1/w = F1 and h2 = d2F1/k^2 + F1 on the floats either side of w = 0.5,
+    # where the log basis switches from its series to the direct formulas.
+    for k in (1.0, 4.0):  # powers of two, so that k (w / k) == w
+        w = np.array([0.5, np.nextafter(0.5, 1.0)])
+        assert np.array_equal(k * (w / k), w)
+        (_, F1), _, (_, d2F1) = _family(k, w / k, "log", True)
+        h2 = d2F1 / k**2 + F1
+        for v in (F1, h2):
+            assert abs(v[1] - v[0]) <= 1e-12 * abs(v[0]), (k, v)
+
+
+def test_diagonal_limit_weights_return_the_constant_term():
+    # The 14 samples at +-h_j of an even polynomial of degree <= 6 in h^2
+    # (plus odd terms, which the +-h pairs cancel) sum to its value at 0.
+    rng = np.random.default_rng(3)
+    for h0 in (1.0, 5e-2):
+        h = h0 * np.concatenate([_STEPS, -_STEPS])
+        coef = rng.standard_normal(13)
+        samples = np.polynomial.polynomial.polyval(h, coef)
+        assert abs(_LIMIT_WEIGHTS @ samples - coef[0]) <= 1e-12
 
 
 def _stacked_kernels(material, grid, rs):

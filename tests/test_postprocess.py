@@ -77,6 +77,15 @@ def test_far_field_rejects_non_unit_directions(setup, bad):
     assert ff.up.shape == (1, 2)
 
 
+@pytest.mark.parametrize("bad", [np.empty((0, 2)), [[np.nan, 3.0]],
+                                 [[np.inf, 3.0]], [[3.0, 0.0, 1.0]],
+                                 np.full((2, 2, 2), 3.0)])
+def test_eval_potential_rejects_bad_points(setup, bad):
+    *_, rep = setup
+    with pytest.raises(ValueError, match="points"):
+        eval_potential(rep, bad)
+
+
 def test_eps_inf_is_zero_on_identical_fields(setup):
     *_, rep = setup
     ff = far_field(rep)

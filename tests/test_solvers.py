@@ -87,6 +87,12 @@ def test_maxiter_and_convergence_flag(rng):
     assert full.reason == "tol"
 
 
+@pytest.mark.parametrize("maxiter", [-1, 0, 2.5, "3"])
+def test_bad_maxiter_is_rejected(maxiter):
+    with pytest.raises(ValueError, match="maxiter"):
+        gmres(np.eye(3), np.ones(3), maxiter=maxiter)
+
+
 def test_residual_history(rng):
     A = _well_conditioned(rng, 40) + np.diag(np.linspace(0, 2, 40))
     b = rng.standard_normal(40) + 1j * rng.standard_normal(40)
