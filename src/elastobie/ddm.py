@@ -118,9 +118,8 @@ def _robin_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol,
     C[np.diag_indices_from(C)] += side / 2
     C[L:, :L] += symbol_matrix(side * ups, L // 4)
     if vt is not None:
-        V = symbol_matrix(vt, L // 4)
-        C[:L, :L] += V @ ups
-        C[:L, L:] += V
+        C[:L, :L] += symbol_matrix(vt @ ups, L // 4)
+        C[:L, L:] += symbol_matrix(vt, L // 4)
     solve = _lu_inverse(C.T)
 
     def cauchy_data(lam):  # A^-1 (vt lam, side lam)

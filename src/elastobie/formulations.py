@@ -175,12 +175,12 @@ def assemble_neumann(kind: str, material: Material, grid,
     N = grid.size
     inc_cd = trace_and_traction(incident, grid, material)
     rhs = -flatten_density(inc_cd.traction)
-
     if kind == "CFIE":
         eta = material.eta_neumann if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
-        ops = boundary_operators(material, grid, tags=("K", "W"))
+    ops = boundary_operators(material, grid, tags=("K", "W"))
+    if kind == "CFIE":
         A = 0.5 * np.eye(2 * N) - ops["K"].T + 1j * eta * ops["W"]
 
         def represent(x):  # u = i eta DL phi - SL phi
@@ -189,7 +189,6 @@ def assemble_neumann(kind: str, material: Material, grid,
         kappa = material.kappa if coupling is None else complex(coupling)
         regN = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n).inv()
         if kind == "CFIER":
-            ops = boundary_operators(material, grid, tags=("K", "W"))
             A = 0.5 * np.eye(2 * N) - ops["K"].T + ops["W"] @ regN
 
             def represent(x):  # u = DL R^N phi - SL phi
@@ -197,7 +196,6 @@ def assemble_neumann(kind: str, material: Material, grid,
         else:  # DCFIER: direct regularized system on the total-field trace
             rhs = (flatten_density(inc_cd.trace)
                    - regN @ flatten_density(inc_cd.traction))
-            ops = boundary_operators(material, grid, tags=("K", "W"))
             A = 0.5 * np.eye(2 * N) - ops["K"] + regN @ ops["W"]
 
             def represent(x):  # zero total traction => u_scat = DL g

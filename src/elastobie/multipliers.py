@@ -23,6 +23,9 @@ it.  Rows are laid out as in the systems: a 2x2 symbol acts on interleaved
 nodal 2-vectors (x_0, y_0, x_1, y_1, ...), a 4x4 symbol on stacked Cauchy
 data (the 2N trace rows, then the 2N traction rows).  Both products are
 FFTs over the nodes (apply_multiplier); x may be a vector or a matrix.
+A dense multiplier (symbol_matrix) follows the one rule of the quadrature
+module: component (a, b) is the circulant of ifft(M(k)[a, b]) at the grid
+modes.  Compose per mode (sym @ sym2) and realize the result once.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .quadrature import _I2, _J
+from .quadrature import _I2, _J, _grid_modes
 
 __all__ = [
     "Symbol",
@@ -104,11 +108,6 @@ def _check_same(a: Symbol, b: Symbol) -> None:
         raise ValueError("symbols have different n_max")
 
 
-def identity_symbol(n_max: int) -> Symbol:
-    values = np.broadcast_to(_I2, (2 * n_max + 1, 2, 2)).astype(complex).copy()
-    return Symbol(n_max=n_max, values=values)
-
-
 def _scalar_values(kind: str, kappa, n_max: int) -> np.ndarray:
     n = np.arange(-n_max, n_max + 1, dtype=float)
     if kind == "LambdaInv":
@@ -131,7 +130,8 @@ def _scalar_values(kind: str, kappa, n_max: int) -> np.ndarray:
     raise ValueError(f"unknown symbol kind {kind!r}")
 
 
-def make_symbol(kind: str, kappa: complex | None = None, n_max: int = 256) -> Symbol:
+def make_symbol(kind: str, kappa: complex | None = None, *,
+                n_max: int) -> Symbol:
     """Build one of the named multipliers as a per-mode 2x2 Symbol.
 
     'H' yields the matrix operator bold-H (per mode H(n) J); the remaining
@@ -145,9 +145,12 @@ def make_symbol(kind: str, kappa: complex | None = None, n_max: int = 256) -> Sy
     return Symbol(n_max=n_max, values=values.astype(complex))
 
 
-def _modes_for(N: int) -> np.ndarray:
-    """FFT mode numbers for a length-N grid (fftfreq ordering)."""
-    return np.fft.fftfreq(N, d=1.0 / N).astype(int)
+def _on_grid(symbol: Symbol, N: int) -> np.ndarray:
+    """The symbol's (N, d, d) values at the N-point grid's modes, FFT order."""
+    modes = _grid_modes(N)
+    if np.abs(modes).max() > symbol.n_max:
+        raise ValueError("grid Nyquist mode exceeds symbol n_max")
+    return symbol.values[modes + symbol.n_max]
 
 
 def apply_multiplier(symbol: Symbol, x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -166,12 +169,9 @@ def apply_multiplier(symbol: Symbol, x: np.ndarray, axis: int = 0) -> np.ndarray
     if rest or N == 0:
         raise ValueError(f"axis {axis} of length {x.shape[axis]} does not hold "
                          f"{d} values per node")
-    modes = _modes_for(N)
-    if np.abs(modes).max() > symbol.n_max:
-        raise ValueError("grid Nyquist mode exceeds symbol n_max")
+    M = _on_grid(symbol, N).reshape(N, d // 2, 2, d // 2, 2)
     lanes = x.reshape(math.prod(x.shape[:axis]), d // 2, N, 2, -1)
     fhat = np.fft.fft(lanes, axis=2)
-    M = symbol.values[modes + symbol.n_max].reshape(N, d // 2, 2, d // 2, 2)
     step = -(-N // 8)  # in place, by eighths: 1/8 of fhat more memory
     for k in range(0, N, step):
         m = slice(k, k + step)
@@ -181,19 +181,13 @@ def apply_multiplier(symbol: Symbol, x: np.ndarray, axis: int = 0) -> np.ndarray
 
 def symbol_matrix(symbol: Symbol, n: int) -> np.ndarray:
     """Dense (4n x 4n) matrix realizing the multiplier on the interleaved
-    nodal layout of the 2n-point grid (for composition with dense operators)."""
-    N = 2 * n
-    modes = _modes_for(N)
-    if np.abs(modes).max() > symbol.n_max:
-        raise ValueError("grid Nyquist mode exceeds symbol n_max")
-    F = np.fft.fft(np.eye(N), axis=0)  # F[k, j] = exp(-2 pi i k j / N)
-    M = symbol.values[modes + symbol.n_max]  # (N, 2, 2)
-    # block (i, j) = (1/N) sum_k e^{i k t_i} M(k) e^{-i k t_j}; its component
-    # (a, b) fills the plane out[a::2, b::2]
-    out = np.empty((2 * N, 2 * N), dtype=complex)
+    nodal layout of the 2n-point grid.  Block (i, j) is (1/N) sum_k e^{i k t_i}
+    M(k) e^{-i k t_j}: plane out[a::2, b::2] is circulant(ifft(M[:, a, b]))."""
+    M = _on_grid(symbol, 2 * n)
+    out = np.empty((4 * n, 4 * n), dtype=complex)
     for a in range(2):
         for b in range(2):
-            out[a::2, b::2] = np.fft.ifft(M[:, a, b][:, None] * F, axis=0)
+            out[a::2, b::2] = scipy.linalg.circulant(np.fft.ifft(M[:, a, b]))
     return out
 
 
@@ -204,8 +198,8 @@ def symbol_transpose(symbol: Symbol) -> Symbol:
     return Symbol(n_max=symbol.n_max, values=values)
 
 
-def ps_dtn(material, side: str, kappa: complex | None = None,
-           n_max: int = 256) -> Symbol:
+def ps_dtn(material, side: str, kappa: complex | None = None, *,
+           n_max: int) -> Symbol:
     """Principal symbol of the Dirichlet-to-Neumann map.
 
     exterior: -(1/beta) Lambda^{-1} (1/2 I - alpha bold-H)
@@ -219,7 +213,7 @@ def ps_dtn(material, side: str, kappa: complex | None = None,
                           kappa=kappa, n_max=n_max)
     H = make_symbol("H", n_max=n_max)
     sgn = -1.0 if side == "exterior" else 1.0
-    inner = 0.5 * identity_symbol(n_max) + (sgn * material.alpha) * H
+    inner = Symbol(n_max, 0.5 * _I2 + (sgn * material.alpha) * H.values)
     return (sgn / material.beta) * (lam_inv @ inner)
 
 
@@ -280,8 +274,8 @@ def rho_constant(mat_plus, mat_minus) -> float:
     return num / den
 
 
-def make_transmission_regularizer(mat_plus, mat_minus, kappa=None,
-                                  n_max: int = 256) -> TransmissionRegularizer:
+def make_transmission_regularizer(mat_plus, mat_minus, kappa=None, *,
+                                  n_max: int) -> TransmissionRegularizer:
     """Build R_kappa = (1/rho)(C+^k + C-^k)(1/2 I + C-^k) mode by mode.
 
     kappa: a shared complexified wavenumber used in both Calderon symbols,
@@ -308,8 +302,8 @@ def make_transmission_regularizer(mat_plus, mat_minus, kappa=None,
     return TransmissionRegularizer(R=R, kappa=(kap_p, kap_m))
 
 
-def transmission_operators(mat_plus, mat_minus, kappa: complex,
-                           n_max: int = 256):
+def transmission_operators(mat_plus, mat_minus, kappa: complex, *,
+                           n_max: int):
     """Generalized-Robin transmission operators Upsilon_+/-.
 
     Upsilon_- = -PS_kappa(Y_+) = +(1/beta+) Lambda_k^{-1} (1/2 I - alpha+ bold-H)

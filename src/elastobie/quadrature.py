@@ -15,8 +15,9 @@ spectrally accurate) on trigonometric polynomials:
   kernel is regular, so that (pv phi)_i ~ p.v. (1/2pi) Int cot((t-t_i)/2)
   phi(t) dt with mode action e^{ikt} -> i sign(k) e^{ik t_i}.
 
-The singular weights depend on t_i - t_m only, so R, T and pv are circulant
-matrices built from one column each.
+One rule realizes these and every dense multiplier (symbol_matrix): the
+circulant of col = ifft(a), a(k) the mode action at the grid modes.  At the
+Nyquist mode -n, R and T act as -1/n and -n, pv as 0 (shifted nodes).
 """
 
 from __future__ import annotations
@@ -53,37 +54,30 @@ class QuadratureSet:
 def build_quadrature(n: int) -> QuadratureSet:
     """Materialize all weight families for the 2n-point periodic grid.
 
-    R, T and pv depend on t_i - t_m only, so each is a circulant,
-    W[i, m] = col[(i - m) mod 2n].  With d_k = k pi / n the columns are
-
-        R:  col[k] = -(1/n) sum_{j<n} cos(j d_k)/j - (1/2n^2) cos(n d_k)
-        T:  col[k] = -(1/n) sum_{j<n} j cos(j d_k) - (1/2) cos(n d_k)
-        pv: col[k] = -(1/n) sum_{j<n} sin(j d_k)
-
-    (pv is the shifted-grid rule summed in closed form; the Nyquist mode
-    vanishes at the shifted nodes).  The columns are computed for
-    k = 0..n and mirrored, so R and T are exactly symmetric and pv exactly
-    antisymmetric, at O(n^2) cost.
+    R, T and pv are the circulants of their mode actions -1/|k|, -|k| and
+    i sign(k), with 0 at k = 0 and pv 0 at the Nyquist mode.
     """
     if not (isinstance(n, numbers.Integral) and n >= 4):
         raise ValueError(f"n {n!r} is not an integer >= 4")
-    k = np.arange(n + 1)
-    j = np.arange(1, n)
-    jd = (np.outer(k, j) % (2 * n)) * (np.pi / n)  # j d_k reduced to [0, 2 pi)
-    cos_jd = np.cos(jd)
-    cos_nd = (-1.0) ** k
-    R = _circulant(-(cos_jd / j).sum(axis=-1) / n - cos_nd / (2.0 * n**2))
-    T = _circulant(-(cos_jd * j).sum(axis=-1) / n - 0.5 * cos_nd)
-    pv = _circulant(-np.sin(jd).sum(axis=-1) / n, odd=True)
-    return QuadratureSet(n=n, R=R, T=T, pv=pv, trapezoid=np.pi / n)
+    k = _grid_modes(2 * n)
+    pv = 1j * np.sign(k)
+    pv[n] = 0.0  # the Nyquist mode -n
+    return QuadratureSet(n=n, R=_circulant(-1.0 / np.where(k, abs(k), np.inf)),
+                         T=_circulant(-1.0 * abs(k)),
+                         pv=_circulant(pv, odd=True), trapezoid=np.pi / n)
 
 
-def _circulant(half: np.ndarray, odd: bool = False) -> np.ndarray:
-    """Circulant matrix W[i, m] = col[(i - m) mod 2n] from col[0..n], extended
-    as an even (col[2n-k] = col[k]) or odd (col[2n-k] = -col[k]) sequence."""
-    n = half.size - 1
-    tail = half[n - 1:0:-1]
-    col = np.concatenate([half, -tail if odd else tail])
+def _grid_modes(N: int) -> np.ndarray:
+    """Integer Fourier modes of the N-point grid, in FFT (fftfreq) order."""
+    return np.fft.fftfreq(N, d=1.0 / N).astype(int)
+
+
+def _circulant(action: np.ndarray, odd: bool = False) -> np.ndarray:
+    """W[i, m] = col[(i - m) mod 2n], col = ifft(action).real with col[0..n]
+    mirrored (col[2n-k] = +-col[k]): W exactly symmetric or antisymmetric."""
+    n = action.size // 2
+    col = np.fft.ifft(action).real
+    col[n + 1:] = (-1.0 if odd else 1.0) * col[n - 1:0:-1]
     if odd:
         col[0] = col[n] = 0.0
     return scipy.linalg.circulant(col)

@@ -57,8 +57,8 @@ def _family(k: float, r: np.ndarray, basis: str, second: bool):
     """The pairs (F0, F1), (dF0, dF1) and, if `second`, (d2F0, d2F1), with
     F0 = c0(kr) and F1 = c1(kr)/(kr), for one wavenumber at distances r > 0.
 
-    In the "log" basis c1/w and h2 = -3 c0/w^2 + 6 c1/w^3 have finite w -> 0
-    limits that 1/w^2 cancellation spoils, so for w <= 0.5 they are series.
+    In the "log" basis c1/w, h2 = -3 c0/w^2 + 6 c1/w^3 and dF1 = -(k w/3) h2
+    have finite w -> 0 limits that cancellation spoils: series for w <= 0.5.
     """
     w = k * r
     if basis == "hankel":
@@ -70,6 +70,7 @@ def _family(k: float, r: np.ndarray, basis: str, second: bool):
     else:
         raise ValueError(f"unknown basis {basis!r}")
     c1_over_w = c1 / w
+    dF1 = k * (c0 - 2.0 * c1_over_w) / w
     h2 = -3.0 * c0 / w**2 + 6.0 * c1 / w**3
     if basis == "log" and np.any(small := w <= 0.5):
         # with q = (w/2)^2, J1(w)/w = sum_m (-1)^m q^m / (2 m! (m+1)!) and
@@ -83,7 +84,8 @@ def _family(k: float, r: np.ndarray, basis: str, second: bool):
                 s2 += (-1.0) ** (m + 1) * m * q ** (m - 1) / ((m + 1.0) * fm * fm)
         c1_over_w[small] = _LOG_SCALE * s1
         h2[small] = _LOG_SCALE * (0.75 * s2)
-    pairs = [(c0, c1_over_w), (-k * c1, k * (c0 - 2.0 * c1_over_w) / w)]
+        dF1[small] = -(k * w[small] / 3.0) * h2[small]
+    pairs = [(c0, c1_over_w), (-k * c1, dF1)]
     if second:
         pairs.append((-(k**2) * (c0 - c1_over_w), k**2 * (-c1_over_w + h2)))
     return pairs

@@ -1,14 +1,14 @@
 """Shared fixtures: small cached grids and materials for the unit tests,
 and the oracles that only the tests call: the discrete exterior
-Dirichlet-to-Neumann map, the fundamental solution, and the principal
-symbol of the single-equation exterior RtR operator B+."""
+Dirichlet-to-Neumann map, the fundamental solution, the identity symbol,
+and the principal symbol of the single-equation exterior RtR operator B+."""
 
 import numpy as np
 import pytest
 
 from elastobie import make_curve, make_material, sample_grid
 from elastobie.formulations import boundary_operators
-from elastobie.multipliers import identity_symbol, make_symbol, ps_dtn
+from elastobie.multipliers import Symbol, make_symbol, ps_dtn
 from elastobie.special import radial_suite
 
 _COND_LIMIT = 1e12  # condition number above which a DtN formula is refused
@@ -55,7 +55,19 @@ def fundamental_solution():
     return _fundamental_solution
 
 
-def _bplus_principal_symbol(mat_plus, mat_minus, kappa, n_max=256):
+def _identity_symbol(n_max):
+    """The 2x2 identity at every mode -n_max .. n_max."""
+    return Symbol(n_max, np.broadcast_to(np.eye(2, dtype=complex),
+                                         (2 * n_max + 1, 2, 2)).copy())
+
+
+@pytest.fixture(scope="session")
+def identity_symbol():
+    """The oracle I(n_max), shared by two test modules."""
+    return _identity_symbol
+
+
+def _bplus_principal_symbol(mat_plus, mat_minus, kappa, *, n_max):
     """Per-mode principal symbol of the single-equation exterior RtR
     operator B+; it collapses to the identity exactly."""
     kappa = complex(kappa)
@@ -69,7 +81,7 @@ def _bplus_principal_symbol(mat_plus, mat_minus, kappa, n_max=256):
     Vs = mat_plus.beta * Lk                    # PS(V+)
     Ws = mat_plus.delta * Lki                  # PS(W+)
     traction_part = Ws + 0.5 * ps_p - Ks @ ps_p
-    trace_part = 0.5 * identity_symbol(n_max) + Ks - Vs @ ps_p
+    trace_part = 0.5 * _identity_symbol(n_max) + Ks - Vs @ ps_p
     return (traction_part - ps_m @ trace_part) @ Ros
 
 

@@ -14,8 +14,8 @@ from elastobie import (assemble_ddm, assemble_transmission, eps_inf,
                        sample_grid, trace_and_traction)
 from elastobie.ddm import EPS, _robin_map, rtr_exterior, rtr_interior
 from elastobie.formulations import boundary_operators, calderon_matrix
-from elastobie.multipliers import (identity_symbol, make_symbol, ps_dtn,
-                                   symbol_matrix, transmission_operators)
+from elastobie.multipliers import (make_symbol, ps_dtn, symbol_matrix,
+                                   transmission_operators)
 from elastobie.quadrature import flatten_density
 
 OMEGA = 4.0
@@ -207,7 +207,8 @@ def test_robin_map_allocates_little_beyond_its_calderon_matrix(preset_mats):
     assert peak <= 8 * 2**20, peak / 2**20
 
 
-def test_eps_vtilde_is_beta_delta_times_inverse_upsilon_plus(mats):
+def test_eps_vtilde_is_beta_delta_times_inverse_upsilon_plus(
+        mats, identity_symbol):
     # Vtilde = beta- Lambda_kappa (1/2 I - alpha- H) = beta- delta- Upsilon_+^{-1}
     mp, mm = mats
     n_max = 64

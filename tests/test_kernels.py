@@ -1,6 +1,8 @@
 """Kernel split tests: reassembly against the fundamental solution, the
 component forms against the stacked products, split structure."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import hankel1
@@ -72,6 +74,18 @@ def test_log_family_is_continuous_across_the_series_switch():
         h2 = d2F1 / k**2 + F1
         for v in (F1, h2):
             assert abs(v[1] - v[0]) <= 1e-12 * abs(v[0]), (k, v)
+
+
+def test_log_family_first_derivative_of_F1_keeps_its_digits_near_zero():
+    # dF1/k = d/dw [c1(w)/w] with c1 = -J1/(2 pi), against its term-by-term
+    # series sum_{m>=1} (-1)^m m q^(m-1) (w/2) / (2 m! (m+1)!), q = (w/2)^2.
+    w = np.array([1e-3, 4e-3, 1.6e-2, 0.1])
+    _, (_, dF1) = _family(1.0, w, "log", False)
+    q = (0.5 * w) ** 2
+    ref = sum((-1.0) ** m * m * q ** (m - 1) * (0.5 * w)
+              / (2.0 * math.factorial(m) * math.factorial(m + 1))
+              for m in range(1, 12)) / (-2.0 * np.pi)
+    assert (np.abs(dF1 - ref) / np.abs(ref)).max() <= 1e-14
 
 
 def test_diagonal_limit_weights_return_the_constant_term():

@@ -3,12 +3,13 @@ and the transmission constant rho."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from elastobie import make_material, make_symbol
 from elastobie.multipliers import (Symbol, _calderon_symbol, apply_multiplier,
-                                   identity_symbol, make_transmission_regularizer,
-                                   ps_dtn, rho_constant, symbol_matrix,
+                                   make_transmission_regularizer, ps_dtn,
+                                   rho_constant, symbol_matrix,
                                    symbol_transpose, transmission_operators)
 
 positive = st.floats(min_value=0.1, max_value=10.0,
@@ -100,25 +101,44 @@ def test_apply_multiplier_and_matrix_agree(circle48):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+def _random_symbol(n_max, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2 * n_max + 1, 2, 2)
+    return Symbol(n_max=n_max, values=rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape))
+
+
 def test_symbol_matrix_matches_the_block_ifft():
-    # Reference: the (N, N, 2, 2) per-pair blocks, one inverse FFT per
-    # component, interleaved so that block (i, j) sits at rows 2i:2i+2,
-    # columns 2j:2j+2.
-    rng = np.random.default_rng(11)
+    # Reference: the (N, N, 2, 2) per-pair blocks, one circulant of the
+    # inverse FFT per component, interleaved so that block (i, j) sits at
+    # rows 2i:2i+2, columns 2j:2j+2.
     n, n_max = 12, 16
     N = 2 * n
-    sym = Symbol(n_max=n_max,
-                 values=rng.standard_normal((2 * n_max + 1, 2, 2))
-                 + 1j * rng.standard_normal((2 * n_max + 1, 2, 2)))
-    F = np.fft.fft(np.eye(N), axis=0)
+    sym = _random_symbol(n_max, 11)
     M = sym.values[np.fft.fftfreq(N, d=1.0 / N).astype(int) + n_max]
     blocks = np.empty((N, N, 2, 2), dtype=complex)
     for a in range(2):
         for b in range(2):
-            blocks[:, :, a, b] = np.fft.ifft(M[:, a, b][:, None] * F, axis=0)
+            blocks[:, :, a, b] = scipy.linalg.circulant(np.fft.ifft(M[:, a, b]))
     ref = blocks.transpose(0, 2, 1, 3).reshape(2 * N, 2 * N)
     got = symbol_matrix(sym, n)
     assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_symbol_matrix_matches_its_definition(n):
+    # block (i, j) = (1/N) sum_k e^{i k t_i} M(k) e^{-i k t_j}, summed
+    # directly over the grid modes k = -n .. n-1 (no FFT).
+    N = 2 * n
+    sym = _random_symbol(n + 2, 7)
+    t = np.arange(N) * np.pi / n
+    ref = np.zeros((N, 2, N, 2), dtype=complex)
+    for k in range(-n, n):
+        e = np.exp(1j * k * t)
+        ref += np.einsum("i,ab,j->iajb", e, sym.at(k), e.conj()) / N
+    got = symbol_matrix(sym, n)
+    ref = ref.reshape(2 * N, 2 * N)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_multiplier_acts_diagonally_on_modes():
@@ -248,9 +268,3 @@ def test_regularized_indirect_symbol_is_well_conditioned_per_mode():
         R = reg.R.values[idx]
         M = 0.5 * np.eye(4) - cm[idx] + (cp[idx] + cm[idx]) @ R
         assert np.linalg.cond(M) < 1e3
-
-
-def test_identity_symbol():
-    i = identity_symbol(4)
-    for k in range(-4, 5):
-        assert np.array_equal(i.at(k), np.eye(2))

@@ -24,10 +24,6 @@ def quad16():
     return build_quadrature(16)
 
 
-def _modes(n):
-    return [k for k in range(-(n - 1), n) if True]
-
-
 def test_log_rule_mode_action(quad16):
     n = quad16.n
     t = np.arange(2 * n) * np.pi / n
@@ -54,6 +50,17 @@ def test_cauchy_pv_rule_mode_action(quad16):
         e = np.exp(1j * k * t)
         assert np.allclose(quad16.pv @ e, 1j * np.sign(k) * e, atol=1e-12)
     assert np.abs(quad16.pv @ np.ones(2 * n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 16, 33])
+def test_rules_on_the_nyquist_mode(n):
+    # cos(n t) is the grid's Nyquist mode: R and T keep their |k| actions
+    # there, and pv gives 0 (cos(n t) vanishes at the shifted nodes).
+    quad = build_quadrature(n)
+    c = np.cos(n * np.arange(2 * n) * np.pi / n)
+    assert np.abs(quad.R @ c + c / n).max() <= 1e-14
+    assert np.abs(quad.T @ c + n * c).max() <= 1e-13 * n
+    assert np.abs(quad.pv @ c).max() <= 1e-14
 
 
 def test_trapezoid_weight(quad16):
