@@ -74,13 +74,15 @@ class DenseOperator:
 class LinearSystem:
     """System A x = b, A any operand with `@` and `shape`; represent maps a
     solution x to the tuple of PotentialTerms of its fields (reconstruct_fields
-    wraps it).  meta holds a one-material system's material."""
+    wraps it).  meta holds a one-material system's material; plane_waves is
+    the far-field factor memo every representation of the system shares."""
 
     operator: object
     rhs: np.ndarray = field(repr=False)
     grid: object = field(repr=False)
     represent: Callable = field(repr=False)
     meta: dict = field(default_factory=dict, repr=False)
+    plane_waves: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.operator.shape[0] != self.rhs.shape[0]:
@@ -100,9 +102,12 @@ class PotentialTerm:
 
 @dataclass(frozen=True)
 class PotentialRepresentation:
-    """Sum of layer potentials; evaluate with postprocess.eval_potential."""
+    """Sum of layer potentials; evaluate with postprocess.eval_potential.
+    plane_waves memoizes far_field's plane-wave factors, (k, id(grid)) ->
+    (directions, factor); reconstruct_fields passes the system's memo."""
 
     terms: tuple
+    plane_waves: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def _green_terms(material: Material, grid, a, b, region: str) -> tuple:
@@ -292,4 +297,5 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
 def reconstruct_fields(system: LinearSystem, solution: np.ndarray) -> PotentialRepresentation:
     """Layer-potential representation of the solved (scattered/interior)
     fields; exterior terms carry region='exterior', interior 'interior'."""
-    return PotentialRepresentation(terms=system.represent(np.asarray(solution)))
+    return PotentialRepresentation(terms=system.represent(np.asarray(solution)),
+                                   plane_waves=system.plane_waves)

@@ -103,13 +103,20 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
     One product per term and wave with E = exp(-ik xhat.y): E g, or for a DL
     F = Sum E nu g^T, whose tr F, xhat^T F xhat, xhat^T F and F xhat are the
     sums of E (nu.g), E (nu.xhat)(xhat.g), E (nu.xhat) g and E (xhat.g) nu.
+    E depends only on k, the grid and the directions; it is kept in the
+    representation's plane_waves memo (one per k and grid, shared by every
+    representation of a system) and rebuilt when the directions change.
     """
     if directions is None:
         angles, dirs = default_directions()
     else:
         dirs = np.atleast_2d(np.asarray(directions, dtype=float))
+        if not (dirs.ndim == 2 and dirs.shape[1] == 2 and len(dirs)
+                and np.isfinite(dirs).all()):
+            raise ValueError(f"directions {dirs.shape} are not a finite "
+                             "(M > 0, 2) array")
         if not np.all(np.abs(np.linalg.norm(dirs, axis=-1) - 1.0) <= 1e-12):
-            raise ValueError("directions must be finite unit vectors")
+            raise ValueError("directions must be unit vectors")
         angles = np.arctan2(dirs[:, 1], dirs[:, 0]) % (2.0 * np.pi)
     terms = [t for t in representation.terms if t.region == region]
     if not terms:
@@ -117,7 +124,7 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
     M = dirs.shape[0]
     up = np.zeros((M, 2), dtype=complex)
     us = np.zeros((M, 2), dtype=complex)
-    phases = {}  # (k, id(grid)) -> plane-wave factor, shared by the terms
+    memo = representation.plane_waves  # (k, id(grid)) -> (dirs, E)
     for term in terms:
         mat, grid, g = term.material, term.grid, term.density
         lam, mu = mat.lam, mat.mu
@@ -126,12 +133,14 @@ def far_field(representation, directions=None, region: str = "exterior") -> FarF
             B = (grid.nu[:, :, None] * g[:, None, :]).reshape(-1, 4)  # nu g^T
         for wave, k, gam, acc in zip("ps", (mat.kp, mat.ks), _gammas(mat),
                                      (up, us)):
-            E = phases.get((k, id(grid)))
-            if E is None:  # cos and sin of the real phase cost less than exp
+            stored_dirs, E = memo.get((k, id(grid)), (None, None))
+            if stored_dirs is None or not np.array_equal(stored_dirs, dirs):
+                # cos and sin of the real phase cost less than exp
                 phase = -k * (dirs @ grid.x.T)
-                E = phases[k, id(grid)] = np.empty(phase.shape, dtype=complex)
+                E = np.empty(phase.shape, dtype=complex)
                 np.cos(phase, out=E.real)
                 np.sin(phase, out=E.imag)
+                memo[k, id(grid)] = (dirs.copy(), E)
             if term.layer == "SL":
                 mom = w * (E @ g)  # (M, 2)
                 coef = np.einsum("mi,mi->m", dirs, mom)[:, None]

@@ -6,14 +6,16 @@ the near field and the far field of that representation must match the
 analytic point-source values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import elastobie.postprocess as postprocess
-from elastobie import (assemble_transmission, eps_inf, eval_potential,
-                       far_field, lu_solve, make_curve, make_material,
-                       plane_wave, point_source, reconstruct_fields,
-                       sample_grid, trace_and_traction)
+from elastobie import (assemble_neumann, assemble_transmission, eps_inf,
+                       eval_potential, far_field, lu_solve, make_curve,
+                       make_material, plane_wave, point_source,
+                       reconstruct_fields, sample_grid, trace_and_traction)
 from elastobie.formulations import PotentialRepresentation, PotentialTerm
 from elastobie.harness import _point_source_far_field
 from elastobie.postprocess import _gammas, default_directions
@@ -68,7 +70,9 @@ def test_default_directions_layout():
 
 
 @pytest.mark.parametrize("bad", [[[2.0, 0.0]], [[0.0, 0.0]],
-                                 [[np.nan, 0.0]], [[1.0, 0.0], [0.0, 1.1]]])
+                                 [[np.nan, 0.0]], [[1.0, 0.0], [0.0, 1.1]],
+                                 [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]],
+                                 np.empty((0, 2))])
 def test_far_field_rejects_non_unit_directions(setup, bad):
     *_, rep = setup
     with pytest.raises(ValueError, match="directions"):
@@ -114,6 +118,74 @@ def test_far_field_is_the_in_order_sum_of_its_terms():
         us += one.us
     assert np.array_equal(ff.up, up)
     assert np.array_equal(ff.us, us)
+
+
+def _neumann_system(grid):
+    mat = make_material(lam=2.0, mu=1.0, omega=6.0)
+    return assemble_neumann("CFIER", mat, grid,
+                            incident=plane_wave(mat, [1.0, 0.0], [1.0, 0.0]))
+
+
+def _transmission_system(grid):
+    outside = make_material(lam=1.0, mu=1.0, omega=4.0)
+    inside = make_material(lam=2.0, mu=8.0, omega=4.0)
+    return assemble_transmission("ICFIER", outside, inside, grid,
+                                 incident=plane_wave(outside, [1.0, 0.0],
+                                                     [1.0, 0.0]))
+
+
+@pytest.mark.parametrize("make_system, regions", [
+    (_neumann_system, ("exterior",)),
+    (_transmission_system, ("exterior", "interior"))])
+def test_far_fields_of_one_system_reuse_its_plane_wave_factors(make_system,
+                                                               regions):
+    # Every representation of a system shares the system's memo; the far
+    # fields must be those of a hand-built representation (empty memo),
+    # also after the directions change and change back.
+    grid = sample_grid(make_curve("starfish"), 32)
+    system, other = make_system(grid), make_system(grid)
+    A = system.operator.matrix
+    rng = np.random.default_rng(5)
+    second = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    rep_a, rep_b = (reconstruct_fields(system, lu_solve(A, b).x)
+                    for b in (system.rhs, second))
+    assert rep_a.plane_waves is system.plane_waves is rep_b.plane_waves
+    angles = np.linspace(0.0, 2.0 * np.pi, 90, endpoint=False)
+    dirs90 = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    for region in regions:
+        for rep, dirs in ((rep_a, None), (rep_b, None), (rep_a, dirs90),
+                          (rep_b, None)):
+            ff = far_field(rep, directions=dirs, region=region)
+            fresh = PotentialRepresentation(terms=rep.terms)
+            assert not fresh.plane_waves
+            ref = far_field(fresh, directions=dirs, region=region)
+            assert np.array_equal(ff.up, ref.up), region
+            assert np.array_equal(ff.us, ref.us), region
+    used = {(k, id(t.grid)) for t in rep_a.terms if t.region in regions
+            for k in (t.material.kp, t.material.ks)}
+    assert set(system.plane_waves) == used
+    assert len(used) == 2 * len(regions)
+    for stored_dirs, E in system.plane_waves.values():
+        assert np.array_equal(stored_dirs, default_directions()[1])
+        assert E.shape == (360, grid.size)
+    assert other.plane_waves == {}
+
+
+def test_far_field_of_a_solved_system_builds_no_factor_twice():
+    # Once a system's factors exist, a far field of a new representation of
+    # it allocates far less than one 360 x N complex plane-wave factor.
+    grid = sample_grid(make_curve("cavity"), 64)
+    system = _neumann_system(grid)
+    A = system.operator.matrix
+    far_field(reconstruct_fields(system, lu_solve(A, system.rhs).x))
+    rep = reconstruct_fields(system, lu_solve(A, 1j * system.rhs).x)
+    tracemalloc.start()
+    try:
+        far_field(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 360 * grid.size * 16, peak
 
 
 def _elementwise_far_field(representation, dirs):
