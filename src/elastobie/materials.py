@@ -5,7 +5,12 @@ Conventions:
 * wavenumbers k_p = omega / sqrt(lam + 2 mu), k_s = omega / sqrt(mu);
 * the traction uses the UNNORMALIZED outward normal nu = (x2', -x1'), so the
   |x'| surface weight is built into the traction density throughout;
-* gradients are stored as grad[..., i, j] = d u_i / d x_j.
+* an incident field is its pointwise value u and traction T u: the Cauchy
+  data that the solvers read (trace_and_traction).
+
+The fundamental solution Phi has one implementation, the kernels module:
+a point source takes its trace and traction from the single- and
+double-layer kernels there; a plane wave's traction is in closed form.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import _J
+from .kernels import _PairFields, _kernel_values
 from .special import radial_suite
 
 __all__ = [
@@ -86,10 +91,16 @@ def make_material(lam: float, mu: float, omega: float) -> Material:
 
 @dataclass(frozen=True)
 class IncidentField:
-    """A solution of the Navier equation with pointwise value and gradient."""
+    """A solution of the Navier equation, sampled as its Cauchy data.
+
+    u(x) is the field at points x (..., 2); traction(x, nu, material) is
+    T u = sigma(u) nu there for unnormalized normals nu (..., 2), with the
+    traction law's Lame pair taken from `material`.
+    """
 
     u: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    grad: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    traction: Callable[[np.ndarray, np.ndarray, Material], np.ndarray] = field(
+        repr=False)
 
 
 def plane_wave(material: Material, d, p) -> IncidentField:
@@ -97,11 +108,16 @@ def plane_wave(material: Material, d, p) -> IncidentField:
 
     u(x) = (1/mu) e^{i ks x.d} (p - (d.p) d)
          + (1/(lam+2mu)) e^{i kp x.d} (d.p) d
+
+    and each wave a e^{i k x.d} has traction
+    i k e^{i k x.d} (lam (a.d) nu + mu ((nu.d) a + (nu.a) d)).
     """
     d = np.asarray(d, dtype=float)
     p = np.asarray(p, dtype=complex)
     if not abs(np.linalg.norm(d) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("direction must be a unit vector")
+    if not np.isfinite(p).all():
+        raise ValueError(f"polarization {p} must be finite")
     if np.linalg.norm(p) == 0.0:
         raise ValueError("polarization must be nonzero")
     dp = d @ p
@@ -116,59 +132,50 @@ def plane_wave(material: Material, d, p) -> IncidentField:
         ep = np.exp(1j * kp * xd)[..., None]
         return es * s_amp + ep * p_amp
 
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        xd = x @ d
-        es = np.exp(1j * ks * xd)[..., None, None]
-        ep = np.exp(1j * kp * xd)[..., None, None]
-        gs = 1j * ks * np.multiply.outer(s_amp, d)
-        gp = 1j * kp * np.multiply.outer(p_amp, d)
-        return es * gs + ep * gp
+    def traction(x, nu, law):
+        xd = np.asarray(x, dtype=float) @ d
+        nu = np.asarray(nu, dtype=float)
+        nd = (nu @ d)[..., None]
+        out = 0.0
+        for k, a in ((ks, s_amp), (kp, p_amp)):
+            t = law.lam * (a @ d) * nu + law.mu * (
+                nd * a + (nu @ a)[..., None] * d)
+            out = out + 1j * k * np.exp(1j * k * xd)[..., None] * t
+        return out
 
-    return IncidentField(u=u, grad=grad)
+    return IncidentField(u=u, traction=traction)
 
 
 def point_source(material: Material, x0, q) -> IncidentField:
-    """Field of a point force: u(x) = Phi(x, x0) q, with analytic gradient."""
+    """Field of a point force at x0: u(x) = Phi(x, x0) q.
+
+    Its trace is V(x0, x) q and its traction K(x0, x)^T q: the single- and
+    double-layer kernels of the kernels module, with x0 as the row point.
+    """
     x0 = np.asarray(x0, dtype=float)
     q = np.asarray(q, dtype=complex)
+    if not (x0.shape == (2,) and np.isfinite(x0).all()):
+        raise ValueError(f"location {x0} is not a finite point in the plane")
+    if not np.isfinite(q).all():
+        raise ValueError(f"polarization {q} must be finite")
     if np.linalg.norm(q) == 0.0:
         raise ValueError("polarization must be nonzero")
 
-    def u(x):
+    def cauchy(x, nu, law, tag):
+        """V(x0, x) q (tag "V"; V is symmetric) or K(x0, x)^T q (tag "K")
+        at the points x (..., 2) with normals nu."""
         x = np.asarray(x, dtype=float)
-        rvec = x - x0
-        r = np.linalg.norm(rvec, axis=-1)
-        if np.any(r == 0.0):
+        xs = x.reshape(-1, 2).T
+        if np.any((xs == x0[:, None]).all(axis=0)):
             raise ValueError("point source evaluated at its own location")
-        rs = radial_suite(material, r, basis="hankel")
-        rq = np.einsum("...i,i->...", rvec, q)
-        return rs.Phi1[..., None] * q + (rs.Phi2 * rq / r**2)[..., None] * rvec
+        if nu is not None:
+            nu = np.asarray(nu, dtype=float).reshape(-1, 2).T
+        pf = _PairFields(law, x0[:, None], None, xs, nu)
+        ker = _kernel_values(pf, radial_suite(material, pf.r), (tag,))[tag]
+        return np.einsum("pqi,p->iq", ker, q).reshape(x.shape)
 
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        rvec = x - x0
-        r = np.linalg.norm(rvec, axis=-1)
-        if np.any(r == 0.0):
-            raise ValueError("point source evaluated at its own location")
-        rs = radial_suite(material, r, basis="hankel")
-        rhat = rvec / r[..., None]
-        rq = np.einsum("...i,i->...", rvec, q)
-        gq = rhat * (np.einsum("...i,i->...", rhat, q))[..., None]  # G q
-        out = np.einsum("...i,...j->...ij", rs.dPhi1[..., None] * q, rhat)
-        out += np.einsum("...i,...j->...ij", rs.dPhi2[..., None] * gq, rhat)
-        eye = np.eye(2)
-        r2 = r**2
-        out += (rs.Phi2 / r2)[..., None, None] * (
-            eye * rq[..., None, None]
-            + np.einsum("...i,j->...ij", rvec, q)
-            - 2.0
-            * np.einsum("...i,...j->...ij", rvec * rq[..., None], rvec)
-            / r2[..., None, None]
-        )
-        return out
-
-    return IncidentField(u=u, grad=grad)
+    return IncidentField(u=lambda x: cauchy(x, None, material, "V"),
+                         traction=lambda x, nu, law: cauchy(x, nu, law, "K"))
 
 
 @dataclass(frozen=True)
@@ -179,22 +186,8 @@ class CauchyData:
     traction: np.ndarray
 
 
-def traction_from_gradient(grad: np.ndarray, nu: np.ndarray,
-                           material: Material) -> np.ndarray:
-    """T u = lam (div u) nu + 2 mu (nu . grad) u - mu (curl u) J nu."""
-    div = grad[..., 0, 0] + grad[..., 1, 1]
-    curl = grad[..., 1, 0] - grad[..., 0, 1]
-    nu_grad = np.einsum("...ij,...j->...i", grad, nu)
-    jnu = nu @ _J.T  # J nu componentwise: (-nu2, nu1)
-    return (
-        material.lam * div[..., None] * nu
-        + 2.0 * material.mu * nu_grad
-        - material.mu * curl[..., None] * jnu
-    )
-
-
 def trace_and_traction(field: IncidentField, grid, material: Material) -> CauchyData:
-    """Sample gamma(u) and T(u) (unnormalized normal) on a curve grid."""
-    trace = field.u(grid.x)
-    traction = traction_from_gradient(field.grad(grid.x), grid.nu, material)
-    return CauchyData(trace=trace, traction=traction)
+    """Sample gamma(u) and T(u) (unnormalized normal) on a curve grid; the
+    traction law takes lam and mu from `material`."""
+    return CauchyData(trace=field.u(grid.x),
+                      traction=field.traction(grid.x, grid.nu, material))

@@ -22,7 +22,8 @@ A Symbol is an operator on the nodal values of the uniform 2n-point grid:
 it.  Rows are laid out as in the systems: a 2x2 symbol acts on interleaved
 nodal 2-vectors (x_0, y_0, x_1, y_1, ...), a 4x4 symbol on stacked Cauchy
 data (the 2N trace rows, then the 2N traction rows).  Both products are
-FFTs over the nodes (apply_multiplier); x may be a vector or a matrix.
+FFTs over the nodes (apply_multiplier); x may be a vector or a matrix, and
+A @ sym runs on the rows of A as conj(M^H A^H)^T.
 A dense multiplier (symbol_matrix) follows the one rule of the quadrature
 module: component (a, b) is the circulant of ifft(M(k)[a, b]) at the grid
 modes.  Compose per mode (sym @ sym2) and realize the result once.
@@ -30,7 +31,6 @@ modes.  Compose per mode (sym @ sym2) and realize the result once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,12 +79,14 @@ class Symbol:
         return Symbol(self.n_max, self.values @ other.values)
 
     def __rmatmul__(self, other):
-        # x M = conj(M^H conj(x)) vector by vector.  The adjoint acts at the
-        # same modes, so the grid's Nyquist mode keeps the symbol value that
-        # symbol_matrix gives it (M(-n)^T per mode would not).
+        # A M = conj(M^H A^H)^T, with A^H one C-ordered copy so that its rows
+        # are A's rows.  The adjoint acts at the same modes, so the grid's
+        # Nyquist mode keeps the symbol value that symbol_matrix gives it
+        # (M(-n)^T per mode would not).
         adjoint = Symbol(self.n_max, self.values.conj().swapaxes(1, 2).copy())
-        out = apply_multiplier(adjoint, np.conjugate(other), axis=-1)
-        return np.conjugate(out, out=out)
+        out = apply_multiplier(adjoint, np.conjugate(np.asarray(other).T,
+                                                    order="C"))
+        return np.conjugate(out, out=out).T
 
     # -- algebra on symbols (per-mode matrix operations) --------------------
     def __add__(self, other: "Symbol") -> "Symbol":
@@ -153,8 +155,8 @@ def _on_grid(symbol: Symbol, N: int) -> np.ndarray:
     return symbol.values[modes + symbol.n_max]
 
 
-def apply_multiplier(symbol: Symbol, x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Apply the multiplier to every vector of x that runs along `axis`.
+def apply_multiplier(symbol: Symbol, x: np.ndarray) -> np.ndarray:
+    """Apply the multiplier to x, a vector or the columns of a matrix.
 
     A d x d symbol reads each vector as d/2 stacked blocks of interleaved
     nodal 2-vectors on the N-point grid (length d N; see the module
@@ -163,20 +165,18 @@ def apply_multiplier(symbol: Symbol, x: np.ndarray, axis: int = 0) -> np.ndarray
     result has the shape of x and, for C-ordered x, its memory order.
     """
     x = np.asarray(x)
-    axis = range(x.ndim)[axis]
     d = symbol.values.shape[-1]
-    N, rest = divmod(x.shape[axis], d)
+    N, rest = divmod(len(x), d)
     if rest or N == 0:
-        raise ValueError(f"axis {axis} of length {x.shape[axis]} does not hold "
-                         f"{d} values per node")
+        raise ValueError(f"length {len(x)} does not hold {d} values per node")
     M = _on_grid(symbol, N).reshape(N, d // 2, 2, d // 2, 2)
-    lanes = x.reshape(math.prod(x.shape[:axis]), d // 2, N, 2, -1)
-    fhat = np.fft.fft(lanes, axis=2)
+    lanes = x.reshape(d // 2, N, 2, -1)
+    fhat = np.fft.fft(lanes, axis=1)
     step = -(-N // 8)  # in place, by eighths: 1/8 of fhat more memory
     for k in range(0, N, step):
         m = slice(k, k + step)
-        fhat[:, :, m] = np.einsum("kpaqb,iqkbj->ipkaj", M[m], fhat[:, :, m])
-    return np.fft.ifft(fhat, axis=2, out=fhat).reshape(x.shape)
+        fhat[:, m] = np.einsum("kpaqb,qkbj->pkaj", M[m], fhat[:, m])
+    return np.fft.ifft(fhat, axis=1, out=fhat).reshape(x.shape)
 
 
 def symbol_matrix(symbol: Symbol, n: int) -> np.ndarray:
@@ -227,7 +227,6 @@ class TransmissionRegularizer:
     Cauchy data, with blocks R = [[R11, R12], [R21, R22]]."""
 
     R: Symbol
-    kappa: tuple  # (kappa_plus, kappa_minus) used in (C+, C-)
 
     @property
     def RT(self) -> Symbol:
@@ -299,7 +298,7 @@ def make_transmission_regularizer(mat_plus, mat_minus, kappa=None, *,
         if not np.allclose(probe, rho * np.eye(4), atol=1e-11 * max(1.0, rho)):
             raise AssertionError("(C+ + C-)^2 = rho I failed at mode 1")
     R = Symbol(n_max, (S @ (0.5 * np.eye(4) + Cm)) / rho)
-    return TransmissionRegularizer(R=R, kappa=(kap_p, kap_m))
+    return TransmissionRegularizer(R=R)
 
 
 def transmission_operators(mat_plus, mat_minus, kappa: complex, *,

@@ -1,6 +1,7 @@
 """Guard for the benchmark (perfbench/): every function its tracer traces
 still exists under its name in its elastobie module and takes the argument
-names that the tracer's span records read, and every `eb.<name>` that its
+names that the tracer's span records read, trace_and_traction still takes
+the workloads' three positional arguments, and every `eb.<name>` that its
 scripts call is still exported by elastobie."""
 
 import importlib
@@ -61,6 +62,16 @@ def test_span_records_bind_their_arguments(tracer, mat21):
     assert infos["solvers.gmres"] == 1
     assert infos["kernels.kernel_split"][-2:] == (8, "V")
 
+
+def test_benchmark_call_of_trace_and_traction_binds(mat21):
+    # the workloads call trace_and_traction(wave, grid, material) and read
+    # the Cauchy data off the result
+    grid = eb.sample_grid(eb.make_curve("circle"), 8)
+    wave = eb.plane_wave(mat21, [1.0, 0.0], [0.0, 1.0])
+    fn = _traced("materials.trace_and_traction")
+    inspect.signature(fn).bind(wave, grid, mat21)
+    cd = fn(wave, grid, mat21)
+    assert cd.trace.shape == cd.traction.shape == (grid.size, 2)
 
 
 def test_star_import_binds_no_module():

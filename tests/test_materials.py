@@ -2,11 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from elastobie import (make_curve, make_material, plane_wave, point_source,
                        sample_grid, trace_and_traction)
-from elastobie.materials import traction_from_gradient
 
 positive = st.floats(min_value=0.05, max_value=50.0,
                      allow_nan=False, allow_infinity=False)
@@ -26,6 +25,13 @@ def test_material_constants(lam, mu, omega):
     assert np.isclose(m.kappa, m.ks + 0.4j * m.ks ** (1.0 / 3.0), rtol=1e-14)
 
 
+def _fd_grad(f, x, h):
+    """Central differences of f at the points x: [..., j] = d f / d x_j."""
+    e = np.eye(2)
+    return np.stack([(f(x + h * e[j]) - f(x - h * e[j])) / (2.0 * h)
+                     for j in range(2)], axis=-1)
+
+
 def _navier_residual(material, field, x, h=1e-4):
     """mu Lap u + (lam+mu) grad div u + omega^2 u by central differences."""
     lam, mu, om = material.lam, material.mu, material.omega
@@ -33,12 +39,11 @@ def _navier_residual(material, field, x, h=1e-4):
     u0 = field.u(x)
     lap = sum(field.u(x + h * e[j]) + field.u(x - h * e[j]) - 2.0 * u0
               for j in range(2)) / h**2
-    # div u via the analytic gradient, then FD of the scalar div
+
     def div(y):
-        g = field.grad(y)
-        return g[..., 0, 0] + g[..., 1, 1]
-    graddiv = np.stack([(div(x + h * e[j]) - div(x - h * e[j])) / (2.0 * h)
-                        for j in range(2)], axis=-1)
+        return np.trace(_fd_grad(field.u, y, h), axis1=-2, axis2=-1)
+
+    graddiv = _fd_grad(div, x, h)
     return mu * lap + (lam + mu) * graddiv + om**2 * u0
 
 
@@ -57,18 +62,23 @@ def test_fields_satisfy_navier_equation(make_field):
 
 
 @pytest.mark.parametrize("make_field", [
-    lambda m: plane_wave(m, [0.6, 0.8], [1.0, 0.5]),
+    lambda m: plane_wave(m, [0.6, 0.8], [0.6, 0.8]),   # P wave
+    lambda m: plane_wave(m, [0.6, 0.8], [-0.8, 0.6]),  # S wave
     lambda m: point_source(m, [0.1, -0.2], [1.0, 0.7]),
-])
-def test_analytic_gradient_matches_finite_differences(make_field):
+], ids=["P", "S", "point_source"])
+def test_traction_is_stress_of_the_field_times_normal(make_field):
+    # T u = sigma(u) nu, sigma = lam (div u) I + mu (grad u + grad u^T), with
+    # grad u by central differences of u at the nodes and unnormalized nu
     m = make_material(lam=1.5, mu=0.8, omega=2.5)
+    grid = sample_grid(make_curve("starfish"), 16)
     field = make_field(m)
-    x = np.array([[1.1, 0.3], [-0.9, 0.8]])
-    h = 1e-6
-    e = np.eye(2)
-    fd = np.stack([(field.u(x + h * e[j]) - field.u(x - h * e[j])) / (2 * h)
-                   for j in range(2)], axis=-1)  # (..., i, j) = d_j u_i
-    assert np.allclose(fd, field.grad(x), atol=1e-7)
+    grad = _fd_grad(field.u, grid.x, 1e-5)  # [..., i, j] = d u_i / d x_j
+    div = grad[..., 0, 0] + grad[..., 1, 1]
+    sigma = m.lam * div[..., None, None] * np.eye(2) + m.mu * (
+        grad + grad.swapaxes(-1, -2))
+    expected = np.einsum("...ij,...j->...i", sigma, grid.nu)
+    traction = trace_and_traction(field, grid, m).traction
+    assert np.abs(traction - expected).max() < 1e-8 * np.abs(expected).max()
 
 
 def test_point_source_is_fundamental_solution_column(fundamental_solution):
@@ -78,23 +88,6 @@ def test_point_source_is_fundamental_solution_column(fundamental_solution):
     x = np.array([[1.4, -0.6], [0.9, 2.0]])
     expected = fundamental_solution(m, x, np.array([0.2, 0.1])) @ q
     assert np.allclose(field.u(x), expected, atol=1e-13)
-
-
-matrix_entries = st.floats(min_value=-5.0, max_value=5.0,
-                           allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=50)
-@given(st.lists(matrix_entries, min_size=8, max_size=8), positive, positive)
-def test_traction_equals_stress_times_normal(vals, lam, mu):
-    # T u = sigma(u) nu with sigma = lam (div u) I + mu (grad u + grad u^T)
-    m = make_material(lam=lam, mu=mu, omega=1.0)
-    grad = np.array(vals[:4]).reshape(2, 2) + 1j * np.array(vals[4:]).reshape(2, 2)
-    nu = np.array([0.8, -0.6])
-    div = grad[0, 0] + grad[1, 1]
-    sigma = lam * div * np.eye(2) + mu * (grad + grad.T)
-    assert np.allclose(traction_from_gradient(grad, nu, m), sigma @ nu,
-                       atol=1e-11 * max(1.0, lam + mu))
 
 
 def test_trace_and_traction_sampling():
@@ -119,6 +112,14 @@ def test_error_paths():
         plane_wave(m, [1.0, 0.0], [0.0, 0.0])  # zero polarization
     with pytest.raises(ValueError):
         point_source(m, [0.0, 0.0], [0.0, 0.0])
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0.0, np.inf)]):
+        with pytest.raises(ValueError, match="polarization"):
+            plane_wave(m, [1.0, 0.0], bad)
+        with pytest.raises(ValueError, match="polarization"):
+            point_source(m, [0.5, 0.5], bad)
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="location"):
+            point_source(m, bad, [1.0, 0.0])
     src = point_source(m, [0.5, 0.5], [1.0, 0.0])
     with pytest.raises(ValueError):
         src.u(np.array([[0.5, 0.5]]))

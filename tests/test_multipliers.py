@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from elastobie import make_material, make_symbol
-from elastobie.multipliers import (Symbol, _calderon_symbol, apply_multiplier,
+from elastobie.multipliers import (Symbol, _calderon_symbol,
                                    make_transmission_regularizer, ps_dtn,
                                    rho_constant, symbol_matrix,
                                    symbol_transpose, transmission_operators)
@@ -95,8 +95,7 @@ def test_apply_multiplier_and_matrix_agree(circle48):
         x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         A = rng.standard_normal((size, 5)) + 1j * rng.standard_normal((size, 5))
         for got, want in ((sym @ x, dense @ x), (sym @ A, dense @ A),
-                          (x @ sym, x @ dense), (A.T @ sym, A.T @ dense),
-                          (apply_multiplier(sym, A.T, axis=1), A.T @ dense.T)):
+                          (x @ sym, x @ dense), (A.T @ sym, A.T @ dense)):
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -244,10 +243,11 @@ def test_regularizer_identity_shared_kappa():
     mp, mm = _mat(1.0, 1.0, 3.0), _mat(2.0, 8.0, 3.0)
     kappa = mp.kappa
     reg = make_transmission_regularizer(mp, mm, kappa, n_max=24)
-    assert reg.kappa == (kappa, kappa)
     cp = _calderon_symbol(mp, kappa, 24)
     cm = _calderon_symbol(mm, kappa, 24)
     ident = 0.5 * np.eye(4)
+    assert np.allclose(reg.R.values, (cp + cm) @ (ident + cm)
+                       / rho_constant(mp, mm), atol=1e-13)
     for idx in (0, 3, 17, 40, 48):
         R = reg.R.values[idx]
         assert np.allclose((cp[idx] + cm[idx]) @ R, ident + cm[idx], atol=1e-13)
@@ -261,9 +261,10 @@ def test_regularized_indirect_symbol_is_well_conditioned_per_mode():
     mp, mm = _mat(1.0, 1.0, 3.0), _mat(2.0, 8.0, 3.0)
     n_max = 16
     reg = make_transmission_regularizer(mp, mm, kappa=None, n_max=n_max)
-    assert reg.kappa == (mp.kappa, mm.kappa)
-    cp = _calderon_symbol(mp, reg.kappa[0], n_max)
-    cm = _calderon_symbol(mm, reg.kappa[1], n_max)
+    cp = _calderon_symbol(mp, mp.kappa, n_max)  # each material's own kappa
+    cm = _calderon_symbol(mm, mm.kappa, n_max)
+    assert np.allclose(reg.R.values, (cp + cm) @ (0.5 * np.eye(4) + cm)
+                       / rho_constant(mp, mm), atol=1e-13)
     for idx in range(2 * n_max + 1):
         R = reg.R.values[idx]
         M = 0.5 * np.eye(4) - cm[idx] + (cp[idx] + cm[idx]) @ R
