@@ -6,11 +6,11 @@ problem coupled through generalized Robin data
     lambda_+ = T+ u+ + Upsilon_+ gamma+ u+,
     lambda_- = T- u- + Upsilon_- gamma- u-,
 
-with the complexified principal-symbol DtN approximations as transmission
-operators (one shared complexified wavenumber kappa):
+with the complexified principal-symbol DtN approximations P_+- = PS_kappa(Y_+-)
+as transmission operators (one shared complexified wavenumber kappa):
 
-    Upsilon_- = -PS_kappa(Y_+) = +(1/beta+) Lambda_k^{-1} (1/2 I - alpha+ H),
-    Upsilon_+ = -PS_kappa(Y_-) = -(1/beta-) Lambda_k^{-1} (1/2 I + alpha- H).
+    Upsilon_- = -P_+ = +(1/beta+) Lambda_k^{-1} (1/2 I - alpha+ H),
+    Upsilon_+ = -P_- = -(1/beta-) Lambda_k^{-1} (1/2 I + alpha- H).
 
 The Schwarz fixed-point system solved by GMRES is
 
@@ -21,25 +21,27 @@ The Schwarz fixed-point system solved by GMRES is
 where S_+- are the Robin-to-Robin (RtR) maps: S_+ takes the datum lambda_+
 of the radiating exterior solution u+ to T+ u+ + Upsilon_- gamma+ u+, and S_-
 takes lambda_- of the interior solution u- to T u- + Upsilon_+ gamma- u-.
-Neither map is formed: each keeps the LU factors of its subdomain's Robin
-system, built from its Calderon matrix C = [[K, -V], [W, -K^T]]; with s = +1
-outside and s = -1 inside (Upsilon_s = Upsilon_+ or Upsilon_-) it reads
 
-    [[s/2 I - K, V], [W + s Upsilon_s, s/2 I - K^T]] (gamma u, T u) = (0, s lambda).
+Both maps have one construction.  On side s (+1 outside, -1 inside) the
+datum is lambda_s = T u_s + Upsilon_s gamma u_s; Upsilon_out is the other
+operator, so -Upsilon_out = P_s is the side's own DtN symbol.  The ansatz
 
-The exterior map has three discretizations:
+    u_s = s (DL[a] - SL[b]),  (a, b) = (I, -Upsilon_out) R_s phi,
+    R_s = (Upsilon_s - Upsilon_out)^{-1} = (P_s - P_-s)^{-1},
 
-* "plain":  this system;
-* "eps":  EPS Vtilde times the Robin row (Upsilon_+, I) = lambda_+ added to
-  the first row, Vtilde = beta- Lambda_kappa (1/2 I - alpha- H) = beta- delta-
-  Upsilon_+^{-1}; it stays uniquely solvable at every frequency;
-* "single":  one second-kind equation B+ phi = lambda_+ for the ansatz
-  u+ = DL+[R^os phi] - SL+[PS_kappa(Y+) R^os phi], R^os = (PS_kappa(Y+) -
-  PS_kappa(Y-))^{-1}, whose Cauchy data are (1/2 I + C)(R^os phi,
-  PS_kappa(Y+) R^os phi); B+'s principal symbol is exactly the identity.
+that is u+ = DL+[R_+ phi] - SL+[P_+ R_+ phi] and
+u- = -DL-[R_- phi] + SL-[P_- R_- phi], has the Cauchy data
+(gamma u_s, T u_s) = D phi with D = (1/2 I + s C)(I, -Upsilon_out) R_s, C the
+side's Calderon matrix [[K, -V], [W, -K^T]].  The Robin datum is one
+second-kind equation B phi = lambda_s with
 
-Every subdomain inverse (a Robin system, or B+) is applied through the LU
-factors of its transpose, with two triangular solves and the row swaps.
+    B = D_traction + Upsilon_s D_trace.
+
+Its principal symbol is the identity: at that level 1/2 I + s C is the
+projector onto the Cauchy data (g, P_s g) of side s, and (a, b) = (a, P_s a)
+lies in its range, so D ~ (I, P_s) R_s and B ~ (P_s + Upsilon_s) R_s =
+(P_s - P_-s) R_s = I.  A map keeps D and the LU factors of B, and takes
+lambda_s to the Cauchy data D B^{-1} lambda_s.
 """
 
 from __future__ import annotations
@@ -54,25 +56,22 @@ from scipy.linalg import solve_triangular
 from .formulations import (LinearSystem, _green_terms,
                            _incident_cauchy_data, calderon_matrix)
 from .materials import Material
-from .multipliers import (Symbol, ps_dtn, symbol_matrix,
-                          transmission_operators)
+from .multipliers import Symbol, transmission_operators
 from .quadrature import flatten_density
 
 __all__ = ["RtRMap", "SchwarzOperator", "rtr_interior", "rtr_exterior",
            "assemble_ddm"]
 
-EPS = 0.1  # weight of the regularizing Vtilde rows of the "eps" variant
-
 
 @dataclass(frozen=True)
 class RtRMap:
-    """Robin-to-Robin map S of one subdomain, kept as LU factors: for Robin
-    data lam (vector or matrix), cauchy_data(lam) is the subdomain solution's
-    stacked Cauchy data (trace; traction) and S @ lam its outgoing data."""
+    """Robin-to-Robin map S of one subdomain, kept as D and the LU factors of
+    B: for Robin data lam (vector or matrix), cauchy_data(lam) is the
+    subdomain solution's stacked Cauchy data (trace; traction) and S @ lam
+    its outgoing data."""
 
     cauchy_data: Callable = field(repr=False)
     ups_out: Symbol = field(repr=False)
-    meta: dict = field(default_factory=dict, repr=False)  # "bplus" if single
 
     def __matmul__(self, lam) -> np.ndarray:
         trace, traction = np.split(self.cauchy_data(lam), 2)
@@ -94,10 +93,11 @@ class SchwarzOperator:
 
 
 def _lu_inverse(AT: np.ndarray) -> Callable:
-    """x -> A^-1 x (vector or matrix x), factoring the Fortran-ordered
-    complex AT = A^T in place.  With A^T = P L U, A = U^T L^T P^T: two
-    triangular solves and the row swaps, faster than lu_solve on one
-    right-hand side."""
+    """x -> A^-1 x (vector or matrix x) for a subdomain map's A = B,
+    factoring AT = A^T in place: B is built C-ordered, so B.T is the
+    Fortran-ordered array LAPACK factors without a copy.  With
+    A^T = P L U, A = U^T L^T P^T: two triangular solves and the row swaps,
+    faster than lu_solve on one right-hand side."""
     lu, piv = scipy.linalg.lu_factor(AT, overwrite_a=True)  # no copy
 
     def solve(x):
@@ -108,58 +108,34 @@ def _lu_inverse(AT: np.ndarray) -> Callable:
     return solve
 
 
-def _robin_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol,
-               vt: Symbol | None = None) -> RtRMap:
-    """RtR map of the subdomain on `side` (+1 exterior, -1 interior).  Its
-    Robin system A is built in C, its Calderon matrix, and factored there
-    as C.T = A^T, Fortran-ordered; vt adds the "eps" rows vt (Upsilon, I)."""
+def _rtr_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol) -> RtRMap:
+    """RtR map of the subdomain on `side` (+1 exterior, -1 interior) with
+    Calderon matrix C (overwritten by 1/2 I + side C): lambda -> D B^-1 lambda
+    (see the module docstring)."""
     L = C.shape[0] // 2  # 4n: one interleaved density on the 2n nodes
-    C[:L] *= -1
-    C[np.diag_indices_from(C)] += side / 2
-    C[L:, :L] += symbol_matrix(side * ups, L // 4)
-    if vt is not None:
-        C[:L, :L] += symbol_matrix(vt @ ups, L // 4)
-        C[:L, L:] += symbol_matrix(vt, L // 4)
-    solve = _lu_inverse(C.T)
-
-    def cauchy_data(lam):  # A^-1 (vt lam, side lam)
-        return solve(np.concatenate([
-            np.zeros_like(lam) if vt is None else vt @ lam, side * lam]))
-    return RtRMap(cauchy_data, ups_out)
+    R = (ups - ups_out).inv()
+    C *= side
+    C[np.diag_indices_from(C)] += 0.5
+    D = C[:, :L] @ R - C[:, L:] @ (ups_out @ R)  # Cauchy data per phi
+    B = np.add(D[L:], ups @ D[:L], order="C")
+    solve = _lu_inverse(B.T)
+    return RtRMap(lambda lam: D @ solve(lam), ups_out)
 
 
 def rtr_interior(mat_minus: Material, grid, ups_plus: Symbol,
                  ups_minus: Symbol) -> RtRMap:
-    """Interior RtR map S_- from a direct Calderon + Robin-row solve."""
-    return _robin_map(calderon_matrix(mat_minus, grid), -1, ups_minus,
-                      ups_plus)
+    """Interior RtR map S_-: lambda_- -> T u- + Upsilon_+ gamma u-."""
+    return _rtr_map(calderon_matrix(mat_minus, grid), -1, ups_minus, ups_plus)
 
 
-def rtr_exterior(mat_plus: Material, mat_minus: Material, grid,
-                 kappa: complex, ups_plus: Symbol, ups_minus: Symbol,
-                 variant: str = "plain") -> RtRMap:
-    """Exterior RtR map S_+; variants 'plain', 'eps', 'single'."""
-    if variant not in ("plain", "eps", "single"):
-        raise ValueError(f"unknown exterior RtR variant {variant!r}")
-    C = calderon_matrix(mat_plus, grid)
-    if variant != "single":
-        vt = None if variant == "plain" else EPS * (
-            (mat_minus.beta * mat_minus.delta) * ups_plus.inv())
-        return _robin_map(C, +1, ups_plus, ups_minus, vt)
-    L = 2 * grid.size
-    ps_p = ps_dtn(mat_plus, "exterior", kappa=kappa, n_max=grid.n)
-    ps_m = ps_dtn(mat_minus, "interior", kappa=kappa, n_max=grid.n)
-    Ros = (ps_p - ps_m).inv()
-    C[np.diag_indices_from(C)] += 0.5
-    D = C[:, :L] @ Ros + C[:, L:] @ (ps_p @ Ros)  # Cauchy data of u+ per phi
-    B = D[L:] + ups_plus @ D[:L]
-    solve = _lu_inverse(B.T.copy(order="F"))
-    return RtRMap(lambda lam: D @ solve(lam), ups_minus, meta={"bplus": B})
+def rtr_exterior(mat_plus: Material, grid, ups_plus: Symbol,
+                 ups_minus: Symbol) -> RtRMap:
+    """Exterior RtR map S_+: lambda_+ -> T u+ + Upsilon_- gamma u+."""
+    return _rtr_map(calderon_matrix(mat_plus, grid), +1, ups_plus, ups_minus)
 
 
 def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
-                 kappa=None, incident=None,
-                 variant: str = "plain") -> LinearSystem:
+                 kappa=None, incident=None) -> LinearSystem:
     """Schwarz system [[I, -S_-], [-S_+, I]] (lambda_+, lambda_-) = rhs.
 
     The incident Cauchy data on the right-hand side use the EXTERIOR
@@ -170,9 +146,7 @@ def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,
     kappa = complex(kappa) if kappa is not None else mat_minus.kappa
     inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident)
     Up, Um = transmission_operators(mat_plus, mat_minus, kappa, n_max=grid.n)
-    # the exterior map first: it rejects an unknown variant before assembly
-    S_plus = rtr_exterior(mat_plus, mat_minus, grid, kappa, Up, Um,
-                          variant=variant)
+    S_plus = rtr_exterior(mat_plus, grid, Up, Um)
     S_minus = rtr_interior(mat_minus, grid, Up, Um)
     b_tr, b_tn = flatten_density(inc_trace), flatten_density(inc_traction)
     rhs = np.concatenate([-(b_tn + Up @ b_tr), b_tn + Um @ b_tr])

@@ -150,7 +150,7 @@ def test_criterion_04_transmission_cavity_os_counts():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_05_symbol_identities(bplus_principal_symbol):
+def test_criterion_05_symbol_identities(rtr_principal_symbol):
     rng = np.random.default_rng(42)
     for _ in range(100):
         lam, mu, om = rng.uniform(0.1, 10.0, 3)
@@ -171,9 +171,10 @@ def test_criterion_05_symbol_identities(bplus_principal_symbol):
         lhs = (cp[idx] + cm[idx]) @ reg.R.values[idx]
         assert np.abs(lhs - (0.5 * np.eye(4) + cm[idx])).max() <= 1e-13
 
-    bsym = bplus_principal_symbol(mp, mm, kappa, n_max=48)
-    for k in range(-48, 49):
-        assert np.abs(bsym.at(k) - np.eye(2)).max() <= 1e-12
+    for side in (+1, -1):
+        bsym = rtr_principal_symbol(mp, mm, kappa, side, n_max=48)
+        for k in range(-48, 49):
+            assert np.abs(bsym.at(k) - np.eye(2)).max() <= 1e-12, (side, k)
 
     # exact rational value for the benchmark pair (2, 8) / (1, 1)
     lp, up_, lm, um = map(Fraction, (2, 8, 1, 1))
@@ -408,7 +409,7 @@ def test_criterion_10_far_fields_transmission():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_11_eigenvalue_clustering():
+def test_criterion_11_eigenvalue_clustering(dense_subdomain_equation):
     omega = 4.0
     grid = sample_grid(make_curve("circle"), 64)
     mp = make_material(lam=1.0, mu=1.0, omega=omega)
@@ -430,37 +431,39 @@ def test_criterion_11_eigenvalue_clustering():
     eig_d = np.linalg.eigvals(cfier.operator.matrix)
     assert np.mean(np.abs(eig_d - 1.0) <= 0.5) >= 0.9
 
-    # single-equation Schwarz operator B+ clusters at 1
+    # the Schwarz subdomain operators B+ and B- cluster at 1
     Up, Um = transmission_operators(mp, mm, mm.kappa, n_max=grid.n)
-    single = rtr_exterior(mp, mm, grid, mm.kappa, Up, Um, variant="single")
-    eig_b = np.linalg.eigvals(single.meta["bplus"])
-    assert np.mean(np.abs(eig_b - 1.0) <= 0.5) >= 0.9
+    for mat, side, ups, ups_out in ((mp, +1, Up, Um), (mm, -1, Um, Up)):
+        B = dense_subdomain_equation(mat, grid, side, ups, ups_out)[1]
+        eig_b = np.linalg.eigvals(B)
+        assert np.mean(np.abs(eig_b - 1.0) <= 0.5) >= 0.9, side
 
 
 # ---------------------------------------------------------------------------
-# 12. DDM invertibility and RtR variant agreement
+# 12. DDM invertibility and agreement with the subdomain Robin systems
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_12_ddm_invertibility_and_variant_agreement():
+def test_criterion_12_ddm_invertibility_and_robin_agreement(dense_robin_map):
     mp = make_material(lam=1.0, mu=1.0, omega=4.0)
     mm = make_material(lam=2.0, mu=8.0, omega=4.0)
     grid = sample_grid(make_curve("starfish"), 96)
     Up, Um = transmission_operators(mp, mm, mm.kappa, n_max=grid.n)
     s_minus = rtr_interior(mm, grid, Up, Um)
-    variants = {v: rtr_exterior(mp, mm, grid, mm.kappa, Up, Um, variant=v)
-                for v in ("plain", "eps", "single")}
+    s_plus = rtr_exterior(mp, grid, Up, Um)
 
     L = 2 * grid.size
     I = np.eye(L, dtype=complex)
-    M = I - s_minus @ (variants["plain"] @ I)
+    M = I - s_minus @ (s_plus @ I)
     smin = np.linalg.svd(M, compute_uv=False)[-1]
     assert smin > 1e-3, smin
 
-    # variant agreement on the action applied to smooth densities
+    # agreement with the Robin systems on the action applied to smooth
+    # densities
     rng = np.random.default_rng(5)
     g = flatten_density(_band_limited(rng, grid.size, 8))
-    ref = variants["plain"] @ g
-    for v in ("eps", "single"):
-        err = np.linalg.norm(variants[v] @ g - ref) / np.linalg.norm(ref)
-        assert err <= 1e-7, (v, err)
+    for S, mat, side, ups, ups_out in ((s_plus, mp, +1, Up, Um),
+                                       (s_minus, mm, -1, Um, Up)):
+        ref = dense_robin_map(mat, grid, side, ups, ups_out)[0] @ g
+        err = np.linalg.norm(S @ g - ref) / np.linalg.norm(ref)
+        assert err <= 1e-7, (side, err)
