@@ -36,11 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import TAGS, _kernel_splits
+from .kernels import TAGS, _assemble, _check_tags
 from .materials import Material, trace_and_traction
 from .multipliers import make_transmission_regularizer, ps_dtn
-from .quadrature import (assemble_bio, build_quadrature, flatten_density,
-                         unflatten_density)
+from .quadrature import flatten_density, unflatten_density
 
 __all__ = [
     "DenseOperator",
@@ -123,17 +122,24 @@ def _green_terms(material: Material, grid, a, b, region: str) -> tuple:
 
 def boundary_operators(material: Material, grid, tags=TAGS) -> dict:
     """Assemble the requested dense boundary integral operators (of V, K
-    and W).  The adjoint double layer K^T is K.T: R and T are exactly
-    symmetric, pv is exactly antisymmetric and J^T = -J."""
-    quad = build_quadrature(grid.n)
-    splits = _kernel_splits(material, grid, tags)
-    return {tag: assemble_bio(split, quad, grid) for tag, split in splits.items()}
+    and W), as views of one array.  The adjoint double layer K^T is K.T: R
+    and T are exactly symmetric, pv is exactly antisymmetric and J^T = -J."""
+    tags = _check_tags(tags)
+    size = 2 * grid.size
+    ops = _assemble(material, grid, (len(tags), size, size),
+                    {tag: [(k * size * size, 1.0, False)] for k, tag in enumerate(tags)})
+    return dict(zip(tags, ops))
 
 
 def calderon_matrix(material: Material, grid) -> np.ndarray:
-    """Dense 8n x 8n Calderon block operator C = [[K, -V], [W, -K^T]]."""
-    ops = boundary_operators(material, grid)
-    return np.block([[ops["K"], -ops["V"]], [ops["W"], -ops["K"].T]])
+    """Dense 8n x 8n Calderon block operator C = [[K, -V], [W, -K^T]],
+    each block written in place; -K^T is K's negated transpose."""
+    size = 2 * grid.size
+    lower = 2 * size * size  # flat index of the first row of W and -K^T
+    return _assemble(material, grid, (2 * size, 2 * size),
+                     {"K": [(0, 1.0, False), (lower + size, -1.0, True)],
+                      "V": [(size, -1.0, False)],
+                      "W": [(lower, 1.0, False)]})
 
 
 def assemble_dirichlet(kind: str, material: Material, grid,

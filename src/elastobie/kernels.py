@@ -23,28 +23,34 @@ converts log r into log(4 sin^2((tau-t)/2)).  M_smooth follows by subtraction
 off the diagonal; diagonal values of M_smooth (and of M_log for W) are
 obtained by even-part Richardson extrapolation along the parameterization.
 
-Evaluation.  On a grid the kernels are evaluated on the N(N-1)/2 node pairs
-i < j only: r, G and both radial suites are symmetric under the swap of the
-two points, V and W are block-symmetric (the lower triangle is the block
-transpose of the upper one), and K's lower triangle is K's formula with r
-negated and the normals exchanged, on the same radial suites.  Each kernel
-is a sum of radial functions times real 2x2 tensors (A, G A, C for K; the
-products with U1(nu_tau, r) and the tractions of A, G A, C for W), written
-out in closed form by component and built once per set of pairs for both
-bases.  The adjoint double layer K^T is not split here: it is the assembled
-K's transpose, K.T.  Splits are stored component-major too, as (2, 2, N, N)
-arrays indexed [p, q, i, m].
+Evaluation.  One evaluator, `_Pairs.kernel`, gives V, K and W on a batch of
+point pairs from a radial suite: each kernel is a set of coefficient fields,
+linear in the suite, on the outer products of the row normal m, the column
+normal n and r (and on I), contracted one 2x2 component at a time.  Since a
+kernel is linear in its suite, every split value is the kernel of a weighted
+suite a H + b L of the Hankel suite H and the log suite L: M_log has weights
+(0, 1/2) and M_smooth (1, -1/2 log 4 sin^2) less the singular parts.  So an
+assembled operator entry off the diagonal, w M_smooth + 2 pi R M_log plus the
+c_hs T and c_pv pv terms, is the kernel of w H + beta L, with
+beta = (2 pi R - w log 4 sin^2)/2, plus terms that depend on the node offset
+only; `_assemble` writes it straight into the operator.  Kernels are
+evaluated on the N(N-1)/2 node pairs i < j only: r and the radial suites are
+symmetric under the swap of the two points, V and W are block-symmetric (the
+lower triangle is the block transpose of the upper one), and K's lower
+triangle is K's formula with r negated and the normals exchanged, on the same
+suites.  The adjoint double layer K^T is K's transpose.  Splits are stored
+component-major, as (2, 2, N, N) arrays indexed [p, q, i, m].
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .quadrature import _I2
-from .special import radial_suite
+from .quadrature import _I2, _J, build_quadrature
+from .special import RadialSuite, radial_suite
 
 __all__ = ["KernelSplit", "kernel_split", "TAGS"]
 
@@ -61,69 +67,86 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1]
 
 
-def _outer(a, b):
-    """a b^T for (2, ...) vector fields, shape (2, 2, ...)."""
-    return a[:, None] * b[None, :]
+class _Pairs:
+    """Real geometry of a batch of (row, column) point pairs, and the
+    kernels V, K and W on it.
 
-
-def _combine(coefs, tensors, diag=None):
-    """sum_k coefs[k] tensors[k] + diag I for scalar fields coefs and diag
-    and (2, 2, ...) tensor fields, formed one component at a time (the
-    component arrays stay in cache, the stacked ones do not)."""
-    shape = np.broadcast_shapes(tensors[0].shape[2:], np.shape(diag),
-                                *(np.shape(c) for c in coefs))
-    out = np.empty((2, 2) + shape, dtype=np.result_type(*coefs, *tensors))
-    for p in range(2):
-        for q in range(2):
-            acc = out[p, q]
-            np.multiply(coefs[0], tensors[0][p, q], out=acc)
-            for c, T in zip(coefs[1:], tensors[1:]):
-                acc += c * T[p, q]
-            if diag is not None and p == q:
-                acc += diag
-    return out
-
-
-class _PairFields:
-    """Real geometry of a batch of (row, column) point pairs.
-
-    With r = x_row - x_col, m the row normal, n the column normal and
-    G = r r^T / r^2, the kernels are radial functions times the tensors
-    below, written out in closed form.  Each is built once, on first use,
-    and shared by the log and Hankel bases.  The row normal enters W only
-    and may be None otherwise.
+    With r = x_row - x_col, rho = 1/r^2, m the row normal and n the column
+    normal, each kernel is a sum of coefficient fields times the outer
+    products of m, n and r and times I.  The coefficients are linear in the
+    radial suite, so a kernel of a weighted sum of suites is the weighted sum
+    of the kernels.  The row normal enters W only and may be None otherwise.
     """
 
     def __init__(self, material, x_r, nu_r, x_c, nu_c):
         self.lam, self.mu = material.lam, material.mu
         self.m, self.n = nu_r, nu_c
         self.rvec = x_r - x_c
-        self.r2 = _dot(self.rvec, self.rvec)
-        self.r = np.sqrt(self.r2)
-        self.rho = 1.0 / self.r2
-        self.rr = _outer(self.rvec, self.rvec)
-        self.G = self.rr * self.rho
+        r2 = _dot(self.rvec, self.rvec)
+        self.r = np.sqrt(r2)
+        self.rho = 1.0 / r2
 
-    @cached_property
-    def k_tensors(self):
-        """A = U1(n, r)^T, G A and C = U2(n, r)^T of the double layer
-        K = -f1 A - f2 G A - f3 C."""
-        lam, mu, n, r = self.lam, self.mu, self.n, self.rvec
+    def swapped(self):
+        """The same pairs with row and column exchanged: r negated and the
+        normals swapped."""
+        out = copy.copy(self)
+        out.rvec, out.m, out.n = -self.rvec, self.n, self.m
+        return out
+
+    def components(self, tag, rs):
+        """Yield (p, q, component (p, q)) of kernel `tag` (V, K or W) from the
+        radial suite rs: the coefficient fields contracted with component
+        (p, q) of their outer products, one component at a time."""
+        terms, diag = getattr(self, f"_{tag}")(rs)
+        for p in range(2):
+            for q in range(2):
+                (c, a, b), *rest = terms
+                acc = c * (a[p] * b[q])
+                for c, a, b in rest:
+                    acc += c * (a[p] * b[q])
+                if p == q:
+                    acc += diag
+                yield p, q, acc
+
+    def kernel(self, tag, rs):
+        """Kernel `tag` from the radial suite rs, as (2, 2, ...) values."""
+        values = [[None, None], [None, None]]
+        for p, q, component in self.components(tag, rs):
+            values[p][q] = component
+        return np.array(values)
+
+    def _V(self, rs):
+        # V = Phi1 I + Phi2 G with G = rho r r^T
+        return [(rs.Phi2 * self.rho, self.rvec, self.rvec)], rs.Phi1
+
+    def _radial(self, rs):
+        """f1 = Phi1'/r, f2 = Phi2'/r and f3 = Phi2/r^2."""
+        inv_r = 1.0 / self.r
+        return rs.dPhi1 * inv_r, rs.dPhi2 * inv_r, rs.Phi2 * self.rho
+
+    def _K(self, rs):
+        # K = -f1 A - f2 G A - f3 C with A = U1(n, r)^T, C = U2(n, r)^T:
+        #   A   = lam r n^T + mu n r^T + mu s_n I,
+        #   G A = lam r n^T + 2 mu s_n rho r r^T,
+        #   C   = (lam + 2 mu) r n^T + mu n r^T - 4 mu s_n rho r r^T + mu s_n I.
+        lam, mu, r, n = self.lam, self.mu, self.rvec, self.n
+        f1, f2, f3 = self._radial(rs)
         s_n = _dot(n, r)
-        rn, nr = _outer(r, n), _outer(n, r)
-        return (_combine((lam, mu), (rn, nr), diag=mu * s_n),
-                _combine((lam, 2.0 * mu * s_n), (rn, self.G)),
-                _combine((lam + 2.0 * mu, mu, -4.0 * mu * s_n),
-                         (rn, nr, self.G), diag=mu * s_n))
+        c_nr = -mu * (f1 + f3)
+        return ([(-lam * (f1 + f2) - (lam + 2.0 * mu) * f3, r, n),
+                 (c_nr, n, r),
+                 ((2.0 * mu * self.rho * s_n) * (2.0 * f3 - f2), r, r)],
+                s_n * c_nr)
 
-    # The hypersingular kernel W = T_m K adds U1(m, r) A, U1(m, r) G A and
-    # U1(m, r) C, from T_m[f(r) I] = (f'/r) U1(m, r), and the tractions at
-    # the row point of A, G A and C, from the identities
+    # The hypersingular kernel W = T_m K is
+    #   W = -f1' U1(m, r) A - f1 T A - f2' U1(m, r) G A - f2 T[G A]
+    #       - f3' U1(m, r) C - f3 T C,
+    # with f' = (f/r)'/r, from T_m[f(r) I] = (f'/r) U1(m, r) and the tractions
+    # at the row point of A, G A and C, from the identities
     #   T[G] = (1/r^2) U2(m, r),       T[r n^T] = 2(lam+mu) m n^T,
     #   T[n r^T] = T[(n.r) I] = lam m n^T + mu n m^T + mu (m.n) I,
     #   T[w r^T] = lam m w^T + mu w m^T + mu (m.w) I + T(w) r^T.
-    # With s_m = m.r, s_n = n.r and rho = 1/r^2, each is a combination of
-    # the outer products of m, n and r, and of I:
+    # With s_m = m.r, s_n = n.r and rho = 1/r^2:
     #   U1(m, r) A   = lam^2 r^2 m n^T + 2 lam mu (s_n m r^T + s_m r n^T)
     #                  + mu^2 ((m.n) r r^T + s_n r m^T + s_m n r^T + s_m s_n I)
     #   U1(m, r) G A = lam^2 r^2 m n^T + 2 lam mu (s_n m r^T + s_m r n^T)
@@ -135,63 +158,41 @@ class _PairFields:
     #   T C   = (2 (lam+2mu)(lam+mu) + 2 lam mu) m n^T
     #           + 2 mu^2 (n m^T + (m.n) I) - 8 mu (lam+mu) Z - 4 mu^2 (X + Y)
     # with X = rho (s_n r m^T + s_m n r^T + s_m s_n I),
-    # Y = ((m.n) - 4 rho s_m s_n) G and Z = rho s_n m r^T.
+    # Y = ((m.n) - 4 rho s_m s_n) G and Z = rho s_n m r^T.  Collected on each
+    # outer product, with a_k = r^2 f_k' (a1 = Phi1'' - f1, a2 = Phi2'' - f2,
+    # a3 = f2 - 2 f3),
+    #   W = c_mn m n^T + y (n m^T + (m.n) I) + rho s_n c_mr m r^T
+    #       + rho s_m c_rn r n^T + x X
+    #       + rho ((m.n) x - 4 mu^2 rho s_m s_n (a2 - 4 f2 + 8 f3)) r r^T
+    # with x = -mu^2 (a1 + a3 + 2 f2 - 4 f3), y = -2 mu^2 (f1 + f3) and
+    # c_mn, c_mr, c_rn as below.
 
-    @cached_property
-    def w_tensors(self):
-        """U1(m, r) A, T A, U1(m, r) G A, T[G A], U1(m, r) C and T C."""
+    def _W(self, rs):
         lam, mu, m, n, r, rho = self.lam, self.mu, self.m, self.n, self.rvec, self.rho
         lm, mm = lam * mu, mu * mu
-        s_m, s_n, nn = _dot(m, r), _dot(n, r), _dot(m, n)
-        ss = s_m * s_n
-        mn, nm, mr, rm = _outer(m, n), _outer(n, m), _outer(m, r), _outer(r, m)
-        nr, rn, rr = _outer(n, r), _outer(r, n), self.rr
-        lr2, lm_s_n, lm_s_m = lam * lam * self.r2, 2.0 * lm * s_n, 2.0 * lm * s_m
-        U1A = _combine((lr2, lm_s_n, lm_s_m, mm * nn, mm * s_n, mm * s_m),
-                       (mn, mr, rn, rr, rm, nr), diag=mm * ss)
-        U1GA = _combine((lr2, lm_s_n, lm_s_m, 4.0 * mm * ss * rho),
-                        (mn, mr, rn, rr))
-        U1C = _combine((lam * (lam + 2.0 * mu) * self.r2, -lm_s_n,
-                        2.0 * mu * (lam + 2.0 * mu) * s_m,
-                        mm * (nn - 8.0 * ss * rho), mm * s_n, mm * s_m),
-                       (mn, mr, rn, rr, rm, nr), diag=mm * ss)
-        rho_s_n, rho_s_m = rho * s_n, rho * s_m
-        y_rr = rho * (nn - 4.0 * rho * ss)  # Y = y_rr r r^T
-        TA = _combine((2.0 * lam * (lam + 2.0 * mu), 2.0 * mm), (mn, nm),
-                      diag=2.0 * mm * nn)
-        TB = _combine((2.0 * lam * (lam + mu), 4.0 * mu * (lam + mu) * rho_s_n,
-                       2.0 * mm * rho_s_n, 2.0 * mm * rho_s_m, 2.0 * mm * y_rr),
-                      (mn, mr, rm, nr, rr), diag=2.0 * mm * rho * ss)
-        TC = _combine((2.0 * (lam + 2.0 * mu) * (lam + mu) + 2.0 * lm, 2.0 * mm,
-                       -8.0 * mu * (lam + mu) * rho_s_n, -4.0 * mm * rho_s_n,
-                       -4.0 * mm * rho_s_m, -4.0 * mm * y_rr),
-                      (mn, nm, mr, rm, nr, rr),
-                      diag=2.0 * mm * nn - 4.0 * mm * rho * ss)
-        return U1A, TA, U1GA, TB, U1C, TC
-
-
-def _kernel_values(pf: _PairFields, rs, tags) -> dict:
-    """Evaluate the kernels `tags` (of V, K and W) on a batch of point pairs:
-    the kernels themselves from a Hankel-basis radial suite `rs`, their log r
-    coefficients from a log-basis one.  Values have shape (2, 2, ...)."""
-    out = {}
-    if "V" in tags:
-        out["V"] = _combine((rs.Phi2,), (pf.G,), diag=rs.Phi1)
-    if not set(tags) - {"V"}:
-        return out
-    inv_r = 1.0 / pf.r
-    f1 = rs.dPhi1 * inv_r
-    f2 = rs.dPhi2 * inv_r
-    f3 = rs.Phi2 * pf.rho
-    if "K" in tags:
-        out["K"] = _combine((-f1, -f2, -f3), pf.k_tensors)
-    if "W" in tags:
-        # W = T_tau K(tau, t): the derivatives (f/r)'/r of f1, f2 and f3.
-        f1p = (rs.d2Phi1 - f1) * pf.rho
-        f2p = (rs.d2Phi2 - f2) * pf.rho
-        f3p = (f2 - 2.0 * f3) * pf.rho
-        out["W"] = _combine((-f1p, -f1, -f2p, -f2, -f3p, -f3), pf.w_tensors)
-    return out
+        f1, f2, f3 = self._radial(rs)
+        a1, a2, a3 = rs.d2Phi1 - f1, rs.d2Phi2 - f2, f2 - 2.0 * f3
+        x = -mm * (a1 + a3 + 2.0 * f2 - 4.0 * f3)
+        y = -2.0 * mm * (f1 + f3)
+        c_mn = (-lam * lam * (a1 + a2) - lam * (lam + 2.0 * mu) * (a3 + 2.0 * f1)
+                - 2.0 * lam * (lam + mu) * f2
+                - (2.0 * (lam + 2.0 * mu) * (lam + mu) + 2.0 * lm) * f3)
+        c_mr = 2.0 * lm * (a3 - a1 - a2) + 4.0 * mu * (lam + mu) * (2.0 * f3 - f2)
+        c_rn = -2.0 * lm * (a1 + a2) - 2.0 * mu * (lam + 2.0 * mu) * a3
+        c_rr = a2 - 4.0 * f2 + 8.0 * f3
+        del f1, f2, f3, a1, a2, a3  # freed: the factors below scale in place
+        s_m, s_n, s_mn = _dot(m, r), _dot(n, r), _dot(m, n)
+        rho_s_m, rho_s_n = rho * s_m, rho * s_n
+        c_mr *= rho_s_n
+        c_rn *= rho_s_m
+        c_rr *= 4.0 * mm * rho_s_m * s_n
+        np.subtract(s_mn * x, c_rr, out=c_rr)
+        c_rr *= rho
+        diag = (rho_s_m * s_n) * x + s_mn * y
+        x_rm = rho_s_n * x
+        x *= rho_s_m
+        return ([(c_mn, m, n), (y, n, m), (c_mr, m, r), (c_rn, r, n),
+                 (x_rm, r, m), (x, n, r), (c_rr, r, r)], diag)
 
 
 def _radial_suites(material, r, tags):
@@ -201,17 +202,11 @@ def _radial_suites(material, r, tags):
             radial_suite(material, r, basis="hankel", second=second))
 
 
-def _split_values(material, pf: _PairFields, suites, tags, dtau):
-    """M_log = (1/2) [kernel]_log and M_smooth of every tag in `tags` on a
-    batch of pairs off the diagonal, at parameter offsets dtau."""
-    mlogs = _kernel_values(pf, suites[0], tags)
-    smooths = _kernel_values(pf, suites[1], tags)
-    logfac = np.log(4.0 * np.sin(0.5 * dtau) ** 2)
-    for tag in tags:
-        mlogs[tag] *= 0.5
-        smooths[tag] -= mlogs[tag] * logfac
-        _subtract_singular(material, tag, dtau, smooths[tag])
-    return mlogs, smooths
+def _weighted(suites, a, b):
+    """The radial suite a H + b L of the suites (L, H) = `suites`, for a
+    scalar a and scalar or per-pair b; a = 0 gives the real suite b L."""
+    return RadialSuite(*(None if h is None else (b * l if a == 0 else a * h + b * l)
+                         for l, h in zip(*suites)))
 
 
 def _c_hs(material, tag):
@@ -241,6 +236,16 @@ def _subtract_singular(material, tag, dtau, values):
         values[1, 0] -= cot
 
 
+def _smooth_values(material, pairs, suites, tag, dtau):
+    """M_smooth of kernel `tag` on pairs off the diagonal at parameter
+    offsets dtau: the kernel of the suites weighted (1, -1/2 log 4 sin^2),
+    less the singular parts."""
+    logfac = np.log(4.0 * np.sin(0.5 * dtau) ** 2)
+    values = pairs.kernel(tag, _weighted(suites, 1.0, -0.5 * logfac))
+    _subtract_singular(material, tag, dtau, values)
+    return values
+
+
 @dataclass(frozen=True)
 class KernelSplit:
     """Split of one boundary-integral kernel on a grid.
@@ -267,14 +272,23 @@ _LIMIT_WEIGHTS = np.tile([0.5 * np.prod([x / (x - xj) for x in np.delete(
     _STEPS**2, j)]) for j, xj in enumerate(_STEPS**2)], 2)
 
 
-def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
-    """Diagonal limits, as (2, 2, N) component arrays, of M_smooth for every
-    tag and of M_log for W.
+def _check_tags(tags) -> tuple:
+    tags = tuple(dict.fromkeys(tags))
+    for tag in tags:
+        if tag not in TAGS:
+            raise ValueError(f"unknown kernel tag {tag!r}; expected one of {TAGS}")
+    return tags
 
-    The smooth remainder kernel - singular parts - log part (and the W log
-    coefficient) is evaluated at the parameter pairs (t_i +- h, t_i) of all
-    steps h from one pair-field build and extrapolated to h -> 0 as one
-    weighted sum, which interpolates its even part in h^2.
+
+def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
+    """Diagonal limits, as (2, 2, N) component arrays, of M_smooth and M_log
+    for every tag.
+
+    M_smooth (and W's M_log, the suites weighted (0, 1/2)) is evaluated at
+    the parameter pairs (t_i +- h, t_i) of all steps h from one pair-geometry
+    build and extrapolated to h -> 0 as one weighted sum, which interpolates
+    its even part in h^2.  M_log of V is -beta/(2 pi) I (L Phi2 = O(r^2) and G
+    stays bounded, so only (1/2) L Phi1(0) I survives); K's vanishes.
 
     Steps stay >= ~4e-3 so the subtractive evaluation of the remainder never
     enters its rounding-noise regime (the hypersingular remainder is computed
@@ -285,77 +299,159 @@ def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
     curve, t = grid.curve, grid.t[None, :]
     hs = min(5e-2, 0.8 / material.ks) * _STEPS
     tau = t + np.concatenate([hs, -hs])[:, None]  # offsets +hs, then -hs
-    pf = _PairFields(material, *(np.moveaxis(v, -1, 0) for v in (
+    pairs = _Pairs(material, *(np.moveaxis(v, -1, 0) for v in (
         curve.eval(tau), curve.normal(tau), curve.eval(t), curve.normal(t))))
-    mlogs, smooths = _split_values(material, pf, _radial_suites(
-        material, pf.r, tags), tags, tau - t)
-    vals = np.stack([smooths[tag] for tag in tags]
-                    + ([mlogs["W"]] if "W" in tags else []))
-    limits = np.tensordot(vals, _LIMIT_WEIGHTS, axes=([-2], [0]))
-    return dict(zip(tags, limits)), ({"W": limits[-1]} if "W" in tags else {})
-
-
-def _kernel_splits(material, grid, tags) -> dict:
-    """Four-way splits of the kernels `tags` on `grid`.
-
-    V, K and W are evaluated on the N(N-1)/2 node pairs i < j only, from one
-    pair-field build and one radial suite per basis; r, G and the radial
-    suites are symmetric under the swap of the two points.  V and W are
-    block-symmetric, so their lower triangle is the block transpose of the
-    upper one; K's lower triangle is K's formula on the swapped pairs (r
-    negated, normals exchanged).  The diagonal limits of all tags come from
-    one shared extrapolation.
-    """
-    tags = tuple(dict.fromkeys(tags))
-    for tag in tags:
-        if tag not in TAGS:
-            raise ValueError(f"unknown kernel tag {tag!r}; expected one of {TAGS}")
+    suites = _radial_suites(material, pairs.r, tags)
+    vals = [_smooth_values(material, pairs, suites, tag, tau - t) for tag in tags]
+    if "W" in tags:
+        vals.append(pairs.kernel("W", _weighted(suites, 0.0, 0.5)))
+    limits = np.tensordot(np.stack(vals), _LIMIT_WEIGHTS, axes=([-2], [0]))
     N = grid.size
-    i, j = np.triu_indices(N, 1)
+    logs = {"V": np.broadcast_to((-material.beta / (2.0 * np.pi) * _I2)[:, :, None],
+                                 (2, 2, N)),
+            "K": np.zeros((2, 2, N))}
+    if "W" in tags:
+        logs["W"] = limits[-1].real  # the log basis is real
+    return dict(zip(tags, limits)), {tag: logs[tag] for tag in tags}
+
+
+def _node_pairs(material, grid, rows, cols):
+    """Pair geometry of the grid nodes rows[k] (row) and cols[k] (column)."""
     # take() keeps the (2, P) rows contiguous; x.T[:, i] would interleave them
     x, nu = grid.x.T, grid.nu.T
-    x_i, nu_i, x_j, nu_j = x.take(i, 1), nu.take(i, 1), x.take(j, 1), nu.take(j, 1)
-    d = grid.t[i] - grid.t[j]
-    upper = _PairFields(material, x_i, nu_i, x_j, nu_j)
-    suites = _radial_suites(material, upper.r, tags)
-    mlogs, smooths = _split_values(material, upper, suites, tags, d)
-    if "K" in tags:
-        swapped = _PairFields(material, x_j, nu_j, x_i, nu_i)
-        k_lower = _split_values(material, swapped, suites, ("K",), -d)
-    smooth_diag, log_diag = _diagonal_limits(material, grid, tags)
-    # V: L Phi2 = O(r^2) and G stays bounded, so only (1/2) L Phi1(0) I =
-    # -beta/(2 pi) I survives; K: the log coefficient vanishes on the diagonal.
-    v_log = -material.beta / (2.0 * np.pi) * _I2
-    log_diag.update(V=np.broadcast_to(v_log[:, :, None], (2, 2, N)),
-                    K=np.zeros((2, 2, N)))
-    flat_up, flat_low, flat_diag = i * N + j, j * N + i, np.arange(N) * (N + 1)
-
-    def planes(up, low, diagonal):
-        """(2, 2, N, N) planes from the values on the pairs i < j, the swapped
-        pairs and the diagonal; flat indices beat out[..., i, j] by ~3x."""
-        out = np.empty((2, 2, N * N), dtype=np.result_type(up, diagonal))
-        for p in range(2):
-            for q in range(2):
-                plane = out[p, q]
-                plane[flat_up] = up[p, q]
-                plane[flat_low] = low[p, q]
-                plane[flat_diag] = diagonal[p, q]
-        return out.reshape(2, 2, N, N)
-
-    splits = {}
-    for tag in tags:
-        if tag == "K":
-            lows = (k_lower[0]["K"], k_lower[1]["K"])
-        else:
-            lows = (mlogs[tag].swapaxes(0, 1), smooths[tag].swapaxes(0, 1))
-        # the log basis is real; the extrapolated limits are complex-typed
-        splits[tag] = KernelSplit(
-            _c_hs(material, tag), _c_pv(material, tag),
-            planes(mlogs[tag], lows[0], log_diag[tag].real),
-            planes(smooths[tag], lows[1], smooth_diag[tag]))
-    return splits
+    return _Pairs(material, x.take(rows, 1), nu.take(rows, 1),
+                  x.take(cols, 1), nu.take(cols, 1))
 
 
 def kernel_split(material, grid, tag: str) -> KernelSplit:
-    """Compute the four-way singularity split of kernel `tag` on `grid`."""
-    return _kernel_splits(material, grid, (tag,))[tag]
+    """Compute the four-way singularity split of kernel `tag` on `grid`.
+
+    Off the diagonal, M_log and M_smooth are the kernel of the suites
+    weighted (0, 1/2) and (1, -1/2 log 4 sin^2), the latter less the singular
+    parts, on the pairs i < j and, for K, on the swapped pairs; V and W fill
+    their lower triangle by block transposition.
+    """
+    (tag,) = _check_tags((tag,))
+    N = grid.size
+    i, j = np.triu_indices(N, 1)
+    d = grid.t[i] - grid.t[j]
+    upper = _node_pairs(material, grid, i, j)
+    suites = _radial_suites(material, upper.r, (tag,))
+    log_suite = _weighted(suites, 0.0, 0.5)
+    ups = (upper.kernel(tag, log_suite),
+           _smooth_values(material, upper, suites, tag, d))
+    if tag == "K":
+        swapped = upper.swapped()
+        lows = (swapped.kernel(tag, log_suite),
+                _smooth_values(material, swapped, suites, tag, -d))
+    else:
+        lows = tuple(v.swapaxes(0, 1) for v in ups)
+    smooth_diag, log_diag = _diagonal_limits(material, grid, (tag,))
+    flat_up, flat_low, flat_diag = i * N + j, j * N + i, np.arange(N) * (N + 1)
+
+    def plane(up, low, diagonal):
+        """(2, 2, N, N) planes from the values on the pairs i < j, the swapped
+        pairs and the diagonal, written through flat indices."""
+        out = np.empty((2, 2, N * N), dtype=np.result_type(up, diagonal))
+        out[:, :, flat_up] = up
+        out[:, :, flat_low] = low
+        out[:, :, flat_diag] = diagonal
+        return out.reshape(2, 2, N, N)
+
+    return KernelSplit(_c_hs(material, tag), _c_pv(material, tag),
+                       plane(ups[0], lows[0], log_diag[tag]),
+                       plane(ups[1], lows[1], smooth_diag[tag]))
+
+
+# The tensors that the node-offset terms of _upper_pairs multiply: c_hs (...) I
+# for W and c_pv (...) J^T for K.
+_OFFSET_TERM_PATTERN = {"V": np.zeros((2, 2)), "K": _J.T, "W": _I2}
+
+
+def _upper_pairs(material, grid, tags, nc, quad):
+    """What assembly reads on the node pairs i < j: their geometry, the
+    weighted suite w H + beta L, the node-offset terms c_hs (T - w csc^2/4pi)
+    of W and c_pv (w cot/4pi + pv/2) of K, and the flat indices of the blocks
+    (i, j) and (j, i) in an array whose rows are nc apart."""
+    N = grid.size
+    i, j = np.triu_indices(N, 1)
+    w = quad.trapezoid
+    # R, T and pv are circulants: entry (i, j) is entry (i - j) mod N of
+    # their first column
+    offset = i - j + N
+    half = 0.5 * (grid.t[i] - grid.t[j])
+    sin2 = np.sin(half) ** 2
+    beta = 0.5 * (2.0 * np.pi * quad.R[offset, 0] - w * np.log(4.0 * sin2))
+    pairs = _node_pairs(material, grid, i, j)
+    suite = _weighted(_radial_suites(material, pairs.r, tags), w, beta)
+    terms = {}
+    if "W" in tags:
+        terms["W"] = _c_hs(material, "W") * (quad.T[offset, 0]
+                                             - w / (4.0 * np.pi) / sin2)
+    if "K" in tags:
+        terms["K"] = _c_pv(material, "K") * (w / (4.0 * np.pi) / np.tan(half)
+                                             + 0.5 * quad.pv[offset, 0])
+    return pairs, suite, terms, 2 * (i * nc + j), 2 * (j * nc + i)
+
+
+def _assemble(material, grid, shape, blocks) -> np.ndarray:
+    """The C-ordered complex array of `shape` that holds the dense operators
+    `blocks` names.
+
+    blocks maps each kernel tag to its targets (start, sign, transposed):
+    sign times the 4n x 4n operator on interleaved densities, or its
+    transpose, with its entry (0, 0) at flat index `start`.  Each pair i < j
+    (and, for K, its swap) is one contraction of the weighted suite
+    w H + beta L per component, plus the node-offset terms on W's diagonal
+    and K's off-diagonal components; the diagonal blocks are
+    w M_smooth + 2 pi R M_log + c_hs T from the extrapolated limits.  V and W
+    write each pair's block transposed for the pair (j, i).
+    """
+    tags = tuple(blocks)
+    nc = shape[-1]
+    quad = build_quadrature(grid.n)
+    upper, suite, terms, f_up, f_low = _upper_pairs(material, grid, tags, nc, quad)
+    smooth_diag, log_diag = _diagonal_limits(material, grid, tags)
+    diagonals = {tag: quad.trapezoid * smooth_diag[tag]
+                 + 2.0 * np.pi * quad.R[0, 0] * log_diag[tag]
+                 + _c_hs(material, tag) * quad.T[0, 0] * _I2[:, :, None]
+                 for tag in tags}
+    del quad, smooth_diag, log_diag  # freed before the output is allocated
+    f_diag = 2 * (nc + 1) * np.arange(grid.size)
+    out = np.empty(shape, dtype=complex)
+    flat = out.reshape(-1)
+
+    def write(p, q, values, f_ab, f_ba, targets):
+        """Component (p, q) of the blocks (a, b) to rows 2a+p, columns 2b+q
+        of each target, or to rows 2b+q, columns 2a+p of a transposed one;
+        values is negated in place for the targets of sign -1, written last."""
+        sign = 1.0
+        for start, s, transposed in sorted(targets, key=lambda target: -target[1]):
+            if s != sign:
+                np.negative(values, out=values)
+                sign = s
+            if transposed:
+                flat[start + q * nc + p:][f_ba] = values
+            else:
+                flat[start + p * nc + q:][f_ab] = values
+
+    for tag in tags:
+        targets = blocks[tag]
+        if tag == "K":
+            # the swapped pairs' cot and pv terms change sign
+            sets = ((upper, f_up, f_low, 1.0), (upper.swapped(), f_low, f_up, -1.0))
+        else:
+            sets = ((upper, f_up, f_low, 1.0),)
+            targets = targets + [(start, s, not tr) for start, s, tr in targets]
+        term = terms.pop(tag, None)
+        for pairs, f_ab, f_ba, side in sets:
+            for p, q, values in pairs.components(tag, suite):
+                coef = side * _OFFSET_TERM_PATTERN[tag][p, q]
+                if coef:
+                    re = values.real
+                    re += term if coef > 0 else -term
+                write(p, q, values, f_ab, f_ba, targets)
+        for p in range(2):
+            for q in range(2):
+                write(p, q, diagonals[tag][p, q], f_diag, f_diag, blocks[tag])
+    return out

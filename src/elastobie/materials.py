@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import _PairFields, _kernel_values
+from .kernels import _Pairs
 from .special import radial_suite
 
 __all__ = [
@@ -170,8 +170,8 @@ def point_source(material: Material, x0, q) -> IncidentField:
             raise ValueError("point source evaluated at its own location")
         if nu is not None:
             nu = np.asarray(nu, dtype=float).reshape(-1, 2).T
-        pf = _PairFields(law, x0[:, None], None, xs, nu)
-        ker = _kernel_values(pf, radial_suite(material, pf.r), (tag,))[tag]
+        pairs = _Pairs(law, x0[:, None], None, xs, nu)
+        ker = pairs.kernel(tag, radial_suite(material, pairs.r))
         return np.einsum("pqi,p->iq", ker, q).reshape(x.shape)
 
     return IncidentField(u=lambda x: cauchy(x, None, material, "V"),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import _PairFields, _kernel_values
+from .kernels import _Pairs
 from .special import radial_suite
 
 __all__ = ["FarField", "eval_potential", "far_field", "eps_inf",
@@ -79,10 +79,11 @@ def eval_potential(representation, points, region: str = "exterior") -> np.ndarr
                               "boundary; plain trapezoid quadrature degrades",
                               stacklevel=2)
             # Off the surface there is no row normal; only W would read one.
-            pf = _PairFields(term.material, points.T[:, :, None], None,
-                             grid.x.T[:, None, :], grid.nu.T[:, None, :])
-            kernels[key] = _kernel_values(pf, radial_suite(term.material, pf.r),
-                                          {t for t, k in zip(tags, keys) if k == key})
+            pairs = _Pairs(term.material, points.T[:, :, None], None,
+                           grid.x.T[:, None, :], grid.nu.T[:, None, :])
+            suite = radial_suite(term.material, pairs.r)
+            kernels[key] = {t: pairs.kernel(t, suite)
+                            for t in {t for t, k in zip(tags, keys) if k == key}}
         ker = kernels[key][tag]  # (2, 2, M, N)
         w = np.pi / grid.n
         out += w * (ker[:, 0] @ term.density[:, 0] + ker[:, 1] @ term.density[:, 1]).T

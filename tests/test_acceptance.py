@@ -12,17 +12,16 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from elastobie import (assemble_ddm, assemble_dirichlet, assemble_transmission,
-                       eps_inf, far_field, gmres, lu_solve, make_curve,
+                       eps_inf, far_field, lu_solve, make_curve,
                        make_material, make_symbol, plane_wave,
                        reconstruct_fields, sample_grid)
 from elastobie.ddm import rtr_exterior, rtr_interior
 from elastobie.formulations import boundary_operators, calderon_matrix
 from elastobie.harness import PRESETS, run_experiment
 from elastobie.multipliers import (Symbol, _calderon_symbol,
-                                   make_transmission_regularizer, ps_dtn,
+                                   make_transmission_regularizer,
                                    rho_constant, symbol_matrix,
                                    transmission_operators)
 from elastobie.quadrature import flatten_density

@@ -139,8 +139,9 @@ def test_no_schwarz_product_calls_lu_solve(grid, mats, robin, monkeypatch):
 def test_subdomain_maps_keep_less_than_their_calderon_matrices(preset_mats):
     # A map keeps D (2L x L) and the LU factors of B (L x L): 12 MiB at
     # n=128, 3/4 of its 16 MiB Calderon matrix, which it does not keep.
-    # 73.7 MiB is the assembly's peak when each map kept its Calderon
-    # matrix; the Calderon builds set it.
+    # The Calderon builds set the assembly's peak: 53.1 MiB measured with
+    # each build writing its blocks in place, against 69.7 MiB when the
+    # builds went through whole (2, 2, N, N) kernel splits.
     mp, mm = preset_mats
     grid = sample_grid(make_curve("starfish"), 128)
     inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
@@ -159,7 +160,7 @@ def test_subdomain_maps_keep_less_than_their_calderon_matrices(preset_mats):
             del S
     finally:
         tracemalloc.stop()
-    assert peak <= 73.7 * 2**20, peak / 2**20
+    assert peak <= 54.0 * 2**20, peak / 2**20
 
 
 def test_interior_rtr_against_manufactured_solution(grid, mats, robin):

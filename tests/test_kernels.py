@@ -1,16 +1,18 @@
 """Kernel split tests: reassembly against the fundamental solution, the
-component forms against the stacked products, split structure."""
+component forms against the stacked products, split structure, and the
+direct operator assembly against the assembled splits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import hankel1
 
-from elastobie import kernel_split
-from elastobie.formulations import boundary_operators
-from elastobie.kernels import (TAGS, _LIMIT_WEIGHTS, _STEPS, _c_hs, _c_pv,
-                               _kernel_splits)
+from elastobie import kernel_split, make_curve, make_material, sample_grid
+from elastobie.formulations import boundary_operators, calderon_matrix
+from elastobie.kernels import TAGS, _LIMIT_WEIGHTS, _STEPS, _c_hs, _c_pv
+from elastobie.quadrature import assemble_bio, build_quadrature
 from elastobie.special import _family, radial_suite
 
 
@@ -197,11 +199,59 @@ def test_split_evaluates_each_unordered_pair_once(starfish32, mat28, monkeypatch
         return radial_suite(material, r, *args, **kwargs)
 
     monkeypatch.setattr("elastobie.kernels.radial_suite", counting_suite)
-    _kernel_splits(mat28, starfish32, TAGS)
+    boundary_operators(mat28, starfish32, TAGS)
     N = starfish32.size
-    # Both bases: the N(N-1)/2 pairs i < j, and 7 extrapolation steps at
-    # +-h for each of the N diagonal entries.
+    # The operators' assembly evaluates both bases on the N(N-1)/2 pairs
+    # i < j and at 7 extrapolation steps at +-h for each of the N diagonal
+    # entries.
     assert sum(points) == 2 * (N * (N - 1) // 2) + 2 * (2 * 7 * N)
+
+
+@pytest.mark.parametrize("curve", ["circle", "starfish", "cavity"])
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("lame", [(2.0, 8.0, 10.0), (2.0, 1.0, 40.0)])
+def test_direct_assembly_matches_the_assembled_splits(curve, n, lame):
+    # Oracle: assemble_bio of each kernel split, with K, -V, W and -K^T put
+    # together by hand.  The diagonal 2x2 blocks come from extrapolated
+    # limits, which amplify rounding, so they get a looser bound.
+    material = make_material(*lame)
+    grid = sample_grid(make_curve(curve), n)
+    quad = build_quadrature(n)
+    ref = {tag: assemble_bio(kernel_split(material, grid, tag), quad, grid)
+           for tag in TAGS}
+    ops = boundary_operators(material, grid)
+    C = calderon_matrix(material, grid)
+    on = np.kron(np.eye(grid.size, dtype=bool), np.ones((2, 2), dtype=bool))
+    K, V, W = ref["K"], ref["V"], ref["W"]
+    cases = [(ops[tag], ref[tag], on) for tag in TAGS] + [
+        (C, np.block([[K, -V], [W, -K.T]]), np.tile(on, (2, 2)))]
+    for got, want, blocks in cases:
+        scale = np.abs(want).max()
+        err = np.abs(got - want)
+        assert err[~blocks].max() <= 1e-14 * scale, err[~blocks].max() / scale
+        assert err[blocks].max() <= 1e-11 * scale, err[blocks].max() / scale
+    # one evaluation serves both layouts: the Calderon blocks are the
+    # operators, -V and -K^T exactly negated
+    h = 2 * grid.size
+    assert np.array_equal(C[:h, :h], ops["K"])
+    assert np.array_equal(C[:h, h:], -ops["V"])
+    assert np.array_equal(C[h:, :h], ops["W"])
+    assert np.array_equal(C[h:, h:], -ops["K"].T)
+
+
+def test_calderon_matrix_allocates_little_beyond_its_result():
+    # starfish, (lam, mu) = (2, 8), omega = 10, n = 128: the 16 MiB result
+    # plus at most 16 MiB of pair temporaries (29.3 MiB measured).
+    material = make_material(lam=2.0, mu=8.0, omega=10.0)
+    grid = sample_grid(make_curve("starfish"), 128)
+    tracemalloc.start()
+    try:
+        C = calderon_matrix(material, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.nbytes == 16 * 2**20
+    assert peak <= C.nbytes + 16 * 2**20, peak / 2**20
 
 
 def test_singularity_constants(mat21):
