@@ -56,7 +56,7 @@ from scipy.linalg import solve_triangular
 from .formulations import (LinearSystem, _green_terms,
                            _incident_cauchy_data, calderon_matrix)
 from .materials import Material
-from .multipliers import Symbol, transmission_operators
+from .multipliers import Symbol, _matmul_in_place, transmission_operators
 from .quadrature import flatten_density
 
 __all__ = ["RtRMap", "SchwarzOperator", "rtr_interior", "rtr_exterior",
@@ -110,14 +110,19 @@ def _lu_inverse(AT: np.ndarray) -> Callable:
 
 def _rtr_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol) -> RtRMap:
     """RtR map of the subdomain on `side` (+1 exterior, -1 interior) with
-    Calderon matrix C (overwritten by 1/2 I + side C): lambda -> D B^-1 lambda
-    (see the module docstring)."""
+    Calderon matrix C: lambda -> D B^-1 lambda (see the module docstring).
+    C is overwritten by 1/2 I + side C, and then by its column halves'
+    products with R and with Upsilon_out R."""
     L = C.shape[0] // 2  # 4n: one interleaved density on the 2n nodes
     R = (ups - ups_out).inv()
     C *= side
     C[np.diag_indices_from(C)] += 0.5
-    D = C[:, :L] @ R - C[:, L:] @ (ups_out @ R)  # Cauchy data per phi
-    B = np.add(D[L:], ups @ D[:L], order="C")
+    # Cauchy data per phi, from the products in C's own column halves
+    D = (_matmul_in_place(C[:, :L], R)
+         - _matmul_in_place(C[:, L:], ups_out @ R))
+    del C  # freed here unless the caller holds it
+    B = ups @ D[:L]
+    B += D[L:]
     solve = _lu_inverse(B.T)
     return RtRMap(lambda lam: D @ solve(lam), ups_out)
 

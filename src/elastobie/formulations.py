@@ -38,7 +38,7 @@ import numpy as np
 
 from .kernels import TAGS, _assemble, _check_tags
 from .materials import Material, trace_and_traction
-from .multipliers import make_transmission_regularizer, ps_dtn
+from .multipliers import _matmul_in_place, make_transmission_regularizer, ps_dtn
 from .quadrature import flatten_density, unflatten_density
 
 __all__ = [
@@ -155,20 +155,23 @@ def assemble_dirichlet(kind: str, material: Material, grid,
     if incident is None:
         raise ValueError("an incident field is required")
     rhs = -flatten_density(incident.u(grid.x))
-    N = grid.size
+    # A is a fresh array: a view of V or K would keep both alive.
     ops = boundary_operators(material, grid, tags=("V", "K"))
+    V, K = ops["V"], ops["K"]
+    K[np.diag_indices_from(K)] += 0.5
     if kind == "CFIE":
         eta = material.eta_dirichlet if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
-        A = 0.5 * np.eye(2 * N) + ops["K"] - 1j * eta * ops["V"]
+        V *= 1j * eta
+        A = K - V
 
         def represent(x):  # u = DL phi - i eta SL phi
             return _green_terms(material, grid, x, 1j * eta * x, "exterior")
     else:  # CFIER
         kappa = material.kappa if coupling is None else complex(coupling)
         reg = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n)
-        A = 0.5 * np.eye(2 * N) + ops["K"] - ops["V"] @ reg
+        A = K - _matmul_in_place(V, reg)
 
         def represent(x):  # u = DL phi - SL R^D phi
             return _green_terms(material, grid, x, reg @ x, "exterior")
@@ -183,16 +186,20 @@ def assemble_neumann(kind: str, material: Material, grid,
         raise ValueError(f"unknown Neumann formulation {kind!r}")
     if incident is None:
         raise ValueError("an incident field is required")
-    N = grid.size
     inc_cd = trace_and_traction(incident, grid, material)
     rhs = -flatten_density(inc_cd.traction)
     if kind == "CFIE":
         eta = material.eta_neumann if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
+    # A is a fresh array: a view of K or W would keep both alive.
     ops = boundary_operators(material, grid, tags=("K", "W"))
+    K, W = ops["K"], ops["W"]
+    A = np.negative(K if kind == "DCFIER" else K.T, order="C")
+    A[np.diag_indices_from(A)] += 0.5
     if kind == "CFIE":
-        A = 0.5 * np.eye(2 * N) - ops["K"].T + 1j * eta * ops["W"]
+        W *= 1j * eta
+        A += W
 
         def represent(x):  # u = i eta DL phi - SL phi
             return _green_terms(material, grid, 1j * eta * x, x, "exterior")
@@ -200,14 +207,14 @@ def assemble_neumann(kind: str, material: Material, grid,
         kappa = material.kappa if coupling is None else complex(coupling)
         regN = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n).inv()
         if kind == "CFIER":
-            A = 0.5 * np.eye(2 * N) - ops["K"].T + ops["W"] @ regN
+            A += _matmul_in_place(W, regN)
 
             def represent(x):  # u = DL R^N phi - SL phi
                 return _green_terms(material, grid, regN @ x, x, "exterior")
         else:  # DCFIER: direct regularized system on the total-field trace
             rhs = (flatten_density(inc_cd.trace)
                    - regN @ flatten_density(inc_cd.traction))
-            A = 0.5 * np.eye(2 * N) - ops["K"] + regN @ ops["W"]
+            A += _matmul_in_place(regN, W)
 
             def represent(x):  # zero total traction => u_scat = DL g
                 return (PotentialTerm("DL", material, grid,
@@ -270,14 +277,14 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
                                                 n_max=grid.n)
             if kind == "DCFIER":
                 # 1/2 I + C- - R^T (C+ + C-)
-                A = np.subtract(Cm, reg.RT @ S, out=Cm)
+                A = np.subtract(Cm, _matmul_in_place(reg.RT, S), out=Cm)
                 rhs = reg.RT @ b0
             else:
                 # 1/2 I - C- + (C+ + C-) R.  The indirect reconstruction's
                 # Cauchy-data jumps equal +L_ind (g, phi); matching the
                 # physical jumps -(incident data) requires the negated RHS
                 # (verified against the direct solves).
-                A = S @ reg.R
+                A = _matmul_in_place(S, reg.R)
                 A -= Cm
                 rhs = -b0
             A[diag] += 0.5

@@ -17,13 +17,15 @@ Dirichlet-to-Neumann maps, the transmission regularizer R_kappa, and the
 generalized-Robin transmission operators Upsilon_+/-.
 
 A Symbol is an operator on the nodal values of the uniform 2n-point grid:
-`sym @ x` applies it to the rows of x and `A @ sym` to the columns of A, so
-`A @ sym` is A times the multiplier's matrix (symbol_matrix) without forming
-it.  Rows are laid out as in the systems: a 2x2 symbol acts on interleaved
-nodal 2-vectors (x_0, y_0, x_1, y_1, ...), a 4x4 symbol on stacked Cauchy
-data (the 2N trace rows, then the 2N traction rows).  Both products are
-FFTs over the nodes (apply_multiplier); x may be a vector or a matrix, and
-A @ sym runs on the rows of A as conj(M^H A^H)^T.
+`sym @ x` is the multiplier's matrix (symbol_matrix) times x and `A @ sym`
+is A times it, without forming it.  Rows are laid out as in the systems: a
+2x2 symbol acts on interleaved nodal 2-vectors (x_0, y_0, x_1, y_1, ...), a
+4x4 symbol on stacked Cauchy data (the 2N trace rows, then the 2N traction
+rows).  Both products are FFTs over the nodes, on the columns of x or the
+rows of A (vectors or matrices), with no conjugate and no transpose.  `@`
+copies its array operand once and computes in the copy (_matmul_in_place);
+the regularized Dirichlet, Neumann and transmission assemblers and the
+Schwarz subdomain maps call _matmul_in_place on the operators they own.
 A dense multiplier (symbol_matrix) follows the one rule of the quadrature
 module: component (a, b) is the circulant of ifft(M(k)[a, b]) at the grid
 modes.  Compose per mode (sym @ sym2) and realize the result once.
@@ -79,14 +81,8 @@ class Symbol:
         return Symbol(self.n_max, self.values @ other.values)
 
     def __rmatmul__(self, other):
-        # A M = conj(M^H A^H)^T, with A^H one C-ordered copy so that its rows
-        # are A's rows.  The adjoint acts at the same modes, so the grid's
-        # Nyquist mode keeps the symbol value that symbol_matrix gives it
-        # (M(-n)^T per mode would not).
-        adjoint = Symbol(self.n_max, self.values.conj().swapaxes(1, 2).copy())
-        out = apply_multiplier(adjoint, np.conjugate(np.asarray(other).T,
-                                                    order="C"))
-        return np.conjugate(out, out=out).T
+        # A M on the rows of one copy of A, in the copy's memory.
+        return _matmul_in_place(np.array(other, dtype=complex), self)
 
     # -- algebra on symbols (per-mode matrix operations) --------------------
     def __add__(self, other: "Symbol") -> "Symbol":
@@ -156,27 +152,54 @@ def _on_grid(symbol: Symbol, N: int) -> np.ndarray:
 
 
 def apply_multiplier(symbol: Symbol, x: np.ndarray) -> np.ndarray:
-    """Apply the multiplier to x, a vector or the columns of a matrix.
+    """M x for x a vector or the columns of a matrix, on one copy of x.
 
     A d x d symbol reads each vector as d/2 stacked blocks of interleaved
     nodal 2-vectors on the N-point grid (length d N; see the module
-    docstring).  Forward FFT over the nodes, per-mode d x d multiply,
-    inverse FFT.  Exact on band-limited densities up to roundoff.  The
-    result has the shape of x and, for C-ordered x, its memory order.
+    docstring).  Exact on band-limited densities up to roundoff.  The
+    result has the shape and the memory order of x.
     """
-    x = np.asarray(x)
+    return _matmul_in_place(symbol, np.array(x, dtype=complex))
+
+
+def _matmul_in_place(a, b) -> np.ndarray:
+    """a @ b for one Symbol and one complex array, written into the array's
+    memory, which is returned: M x on the columns of x (b = x), or A M on
+    the rows of A (a = A).  A may be a view such as a column block.
+
+    The array is viewed as lanes (vectors, d/2, N, 2) of nodal 2-vectors.
+    Each lane is transformed over the nodes, its d components are mixed one
+    mode at a time (lane @ G(k)), and it is transformed back: rows take
+    ifft, G = M and fft, since (A M)[r] = fft(ifft(A[r]) M(k)); columns take
+    fft, G = M^T and ifft, since M x = ifft(M(k) fft(x)).  Both read M(k)
+    at the grid's modes, the Nyquist mode included, as symbol_matrix does.
+    The mixing runs on eighths of the modes, or on 2^16 entries if that is
+    more, so it needs max(1/4 of the array, 2 MiB) more memory.
+    """
+    rows = isinstance(b, Symbol)
+    symbol, x = (b, a) if rows else (a, b)
     d = symbol.values.shape[-1]
-    N, rest = divmod(len(x), d)
+    length = x.shape[-1] if rows else len(x)
+    N, rest = divmod(length, d)
     if rest or N == 0:
-        raise ValueError(f"length {len(x)} does not hold {d} values per node")
-    M = _on_grid(symbol, N).reshape(N, d // 2, 2, d // 2, 2)
-    lanes = x.reshape(d // 2, N, 2, -1)
-    fhat = np.fft.fft(lanes, axis=1)
-    step = -(-N // 8)  # in place, by eighths: 1/8 of fhat more memory
+        raise ValueError(f"length {length} does not hold {d} values per node")
+    G = _on_grid(symbol, N)
+    if rows:
+        lanes = np.reshape(x, (-1, d // 2, N, 2), copy=False)
+        first, last = np.fft.ifft, np.fft.fft
+    else:
+        lanes = np.reshape(x, (d // 2, N, 2, -1), copy=False).transpose(3, 0, 1, 2)
+        first, last, G = np.fft.fft, np.fft.ifft, G.swapaxes(1, 2)
+    first(lanes, axis=2, out=lanes)
+    count = len(lanes)
+    step = max(-(-N // 8), 2**16 // max(count * d, 1))
     for k in range(0, N, step):
-        m = slice(k, k + step)
-        fhat[:, m] = np.einsum("kpaqb,qkbj->pkaj", M[m], fhat[:, m])
-    return np.fft.ifft(fhat, axis=1, out=fhat).reshape(x.shape)
+        block = lanes[:, :, k:k + step]
+        c = block.shape[2]
+        mixed = block.transpose(2, 0, 1, 3).reshape(c, count, d) @ G[k:k + step]
+        block[...] = mixed.reshape(c, count, d // 2, 2).transpose(1, 2, 0, 3)
+    last(lanes, axis=2, out=lanes)
+    return x
 
 
 def symbol_matrix(symbol: Symbol, n: int) -> np.ndarray:

@@ -3,8 +3,11 @@
 Oracle: if the "incident" field radiates from a point source placed INSIDE
 the obstacle, the exterior scattered field equals minus that source field
 everywhere outside (uniqueness), so every formulation must reproduce the
-analytic point-source far field.
+analytic point-source far field.  Besides: the one-material systems against
+their formulas, and the memory the ICFIER assembly takes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from elastobie import (assemble_ddm, assemble_dirichlet, assemble_neumann,
                        far_field, lu_solve, make_curve, make_material,
                        plane_wave, point_source, reconstruct_fields,
                        sample_grid, trace_and_traction)
-from elastobie.formulations import calderon_matrix
+from elastobie.formulations import boundary_operators, calderon_matrix
+from elastobie.multipliers import ps_dtn
 from elastobie.harness import _point_source_far_field
 from elastobie.postprocess import default_directions
 from elastobie.quadrature import flatten_density
@@ -130,6 +134,52 @@ def test_transmission_formulations_agree_on_plane_wave(grid):
     for i in range(1, 4):
         assert eps_inf(ffs[0], ffs[i]) < 1e-7, i
         assert np.abs(interiors[0] - interiors[i]).max() < 1e-6 * scale, i
+
+
+def test_one_material_systems_equal_their_formulas_in_their_own_memory():
+    # The documented systems with a dense 1/2 I, in the same order of
+    # operations: the assemblers add 1/2 on a diagonal in place and form
+    # the products in the operators' memory, to the same bits.  A system
+    # is a fresh C-ordered array, not a view that keeps V, K and W alive.
+    grid = sample_grid(make_curve("cavity"), 32)
+    mat = make_material(lam=2.0, mu=1.0, omega=10.0)
+    inc = plane_wave(mat, [1.0, 0.0], [1.0, 0.0])
+    ops = boundary_operators(mat, grid)
+    K, V, W = ops["K"], ops["V"], ops["W"]
+    half = 0.5 * np.eye(2 * grid.size)
+    eta_d, eta_n = mat.eta_dirichlet, mat.eta_neumann
+    regD = ps_dtn(mat, "exterior", kappa=mat.kappa, n_max=grid.n)
+    regN = regD.inv()
+    cases = [(assemble_dirichlet, "CFIE", half + K - 1j * eta_d * V),
+             (assemble_dirichlet, "CFIER", half + K - V @ regD),
+             (assemble_neumann, "CFIE", half - K.T + 1j * eta_n * W),
+             (assemble_neumann, "CFIER", half - K.T + W @ regN),
+             (assemble_neumann, "DCFIER", half - K + regN @ W)]
+    for assemble, kind, want in cases:
+        A = assemble(kind, mat, grid, incident=inc).operator.matrix
+        assert np.array_equal(A, want), kind
+        assert A.flags.owndata and A.flags.c_contiguous, kind
+
+
+def test_icfier_assembly_keeps_to_its_two_calderon_matrices():
+    # The transmission-starfish preset's ICFIER cell at omega = 10, n = 128:
+    # C+ and C- (16 MiB each) plus at most 16 MiB.  S R is formed in S's
+    # memory; the second Calderon build sets the peak (45.3 MiB measured,
+    # against 66.2 MiB when S @ R made a conjugate-transposed copy of S
+    # and a second array for its result).
+    mp = make_material(lam=1.0, mu=1.0, omega=10.0)
+    mm = make_material(lam=2.0, mu=8.0, omega=10.0)
+    grid = sample_grid(make_curve("starfish"), 128)
+    inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
+    calderon_bytes = (4 * grid.size) ** 2 * 16
+    tracemalloc.start()
+    try:
+        system = assemble_transmission("ICFIER", mp, mm, grid, incident=inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.operator.matrix.nbytes == calderon_bytes == 16 * 2**20
+    assert peak <= 2 * calderon_bytes + 16 * 2**20, peak / 2**20
 
 
 def test_calderon_acts_as_half_on_exterior_and_interior_data(grid, mat):

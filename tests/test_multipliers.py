@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from elastobie import make_material, make_symbol
 from elastobie.multipliers import (Symbol, _calderon_symbol,
+                                   _matmul_in_place,
                                    make_transmission_regularizer, ps_dtn,
                                    rho_constant, symbol_matrix,
                                    symbol_transpose, transmission_operators)
@@ -100,11 +101,62 @@ def test_apply_multiplier_and_matrix_agree(circle48):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _random_symbol(n_max, seed):
+def _random_symbol(n_max, seed, d=2):
     rng = np.random.default_rng(seed)
-    shape = (2 * n_max + 1, 2, 2)
+    shape = (2 * n_max + 1, d, d)
     return Symbol(n_max=n_max, values=rng.standard_normal(shape)
                   + 1j * rng.standard_normal(shape))
+
+
+def _dense(sym, n):
+    """The multiplier's matrix: symbol_matrix of a 2x2 symbol, the block
+    matrix of the 2x2 blocks' symbol_matrix for a 4x4 one."""
+    if sym.values.shape[-1] == 2:
+        return symbol_matrix(sym, n)
+    r11, r12, r21, r22 = (symbol_matrix(b, n) for b in _blocks(sym))
+    return np.block([[r11, r12], [r21, r22]])
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("form", ["vector", "matrix", "column half"])
+@pytest.mark.parametrize("rows", [True, False], ids=["A@sym", "sym@x"])
+def test_products_in_place_match_the_dense_multiplier(d, form, rows):
+    # A @ sym and sym @ x copy their operand once and leave it unchanged;
+    # _matmul_in_place computes the same bits in the operand's own memory,
+    # also on a non-contiguous column half C[:, :size] of a wider C.
+    n = 12
+    sym = _random_symbol(n + 2, 19 + d, d)
+    dense = _dense(sym, n)
+    size = dense.shape[0]
+    rng = np.random.default_rng(d)
+    shape = {"vector": (size,), "matrix": (7, size) if rows else (size, 7),
+             "column half": (size, 2 * size)}[form]
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x = C[:, :size] if form == "column half" else C
+    before = C.copy()
+    want = x @ dense if rows else dense @ x
+    got = x @ sym if rows else sym @ x
+    assert np.array_equal(C, before)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    out = _matmul_in_place(x, sym) if rows else _matmul_in_place(sym, x)
+    assert np.shares_memory(out, C) and out.shape == want.shape
+    assert np.array_equal(out, got)
+    if form == "column half":
+        assert np.array_equal(C[:, size:], before[:, size:])
+
+
+def test_products_take_empty_operands_and_reject_off_grid_ones():
+    sym = _random_symbol(8, 3, d=4)
+    assert (sym @ np.ones((64, 0))).shape == (64, 0)  # no vectors is fine
+    assert (np.ones((0, 64)) @ sym).shape == (0, 64)
+    for x in (np.ones(66), np.ones((66, 3)), np.ones(0)):
+        with pytest.raises(ValueError, match="values per node"):
+            sym @ x
+        with pytest.raises(ValueError, match="values per node"):
+            x.T @ sym
+    with pytest.raises(ValueError, match="Nyquist"):  # mode 32 > n_max = 8
+        sym @ np.ones(4 * 64)
 
 
 def test_symbol_matrix_matches_the_block_ifft():
@@ -203,8 +255,24 @@ def test_rho_benchmark_value_and_symmetry():
 
 @settings(max_examples=60)
 @given(positive, positive, positive)
-def test_rho_equals_one_iff_equal_shear_moduli(lam_p, lam_m, mu):
+def test_rho_equals_one_for_equal_shear_moduli(lam_p, lam_m, mu):
     assert abs(rho_constant(_mat(lam_p, mu), _mat(lam_m, mu)) - 1.0) < 1e-13
+
+
+@settings(max_examples=60)
+@given(positive, positive, st.floats(min_value=0.05, max_value=0.45))
+def test_rho_equals_one_at_the_shear_ratio_q_over_p(lam_p, mu_p, t_m):
+    # The converse fails: rho = 1 also at s = mu-/mu+ = Q/P != 1, with
+    # t = mu/(lam + 2 mu), P = (1 + t+)(1 - t-), Q = (1 + t-)(1 - t+).
+    # Fix t- and mu- = s mu+; lam- = mu- (1/t- - 2) then has that t-.
+    t_p = mu_p / (lam_p + 2.0 * mu_p)
+    s = (1.0 + t_m) * (1.0 - t_p) / ((1.0 + t_p) * (1.0 - t_m))
+    mu_m = s * mu_p
+    mm = _mat(mu_m * (1.0 / t_m - 2.0), mu_m)
+    assert rho_constant(_mat(lam_p, mu_p), mm) == pytest.approx(1.0, abs=1e-12)
+    # a concrete witness: t+ = 1/3, t- = 1/4, P = 1, Q = 5/6
+    witness = rho_constant(_mat(1.0, 1.0), _mat(5.0 / 3.0, 5.0 / 6.0))
+    assert witness == pytest.approx(1.0, abs=1e-15)
 
 
 @settings(max_examples=60)
