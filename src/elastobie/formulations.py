@@ -192,14 +192,11 @@ def assemble_neumann(kind: str, material: Material, grid,
         eta = material.eta_neumann if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
-    # A is a fresh array: a view of K or W would keep both alive.
     ops = boundary_operators(material, grid, tags=("K", "W"))
     K, W = ops["K"], ops["W"]
-    A = np.negative(K if kind == "DCFIER" else K.T, order="C")
-    A[np.diag_indices_from(A)] += 0.5
+    # W's term is formed in W's memory before A is allocated
     if kind == "CFIE":
         W *= 1j * eta
-        A += W
 
         def represent(x):  # u = i eta DL phi - SL phi
             return _green_terms(material, grid, 1j * eta * x, x, "exterior")
@@ -207,18 +204,22 @@ def assemble_neumann(kind: str, material: Material, grid,
         kappa = material.kappa if coupling is None else complex(coupling)
         regN = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n).inv()
         if kind == "CFIER":
-            A += _matmul_in_place(W, regN)
+            _matmul_in_place(W, regN)
 
             def represent(x):  # u = DL R^N phi - SL phi
                 return _green_terms(material, grid, regN @ x, x, "exterior")
         else:  # DCFIER: direct regularized system on the total-field trace
             rhs = (flatten_density(inc_cd.trace)
                    - regN @ flatten_density(inc_cd.traction))
-            A += _matmul_in_place(regN, W)
+            _matmul_in_place(regN, W)
 
             def represent(x):  # zero total traction => u_scat = DL g
                 return (PotentialTerm("DL", material, grid,
                                       unflatten_density(x)),)
+    # A is a fresh array: a view of K or W would keep both alive.
+    A = np.negative(K if kind == "DCFIER" else K.T, order="C")
+    A[np.diag_indices_from(A)] += 0.5
+    A += W
     return LinearSystem(operator=DenseOperator(A), rhs=rhs, grid=grid,
                         represent=represent, meta={"material": material})
 

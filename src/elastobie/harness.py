@@ -267,7 +267,7 @@ def _manufactured_cell(form, material, grid, x0, q) -> float:
     cd = trace_and_traction(point_source(material, x0, q), grid, material)
     A = boundary_operators(material, grid, tags=(form,))[form]
     if form == "K":
-        A = 0.5 * np.eye(2 * grid.size, dtype=complex) + A
+        A[np.diag_indices_from(A)] += 0.5
     rhs = flatten_density(cd.traction if form == "W" else cd.trace)
     density = unflatten_density(lu_solve(A, rhs).x)
     rep = PotentialRepresentation(

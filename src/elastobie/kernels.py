@@ -38,8 +38,10 @@ evaluated on the N(N-1)/2 node pairs i < j only: r and the radial suites are
 symmetric under the swap of the two points, V and W are block-symmetric (the
 lower triangle is the block transpose of the upper one), and K's lower
 triangle is K's formula with r negated and the normals exchanged, on the same
-suites.  The adjoint double layer K^T is K's transpose.  Splits are stored
-component-major, as (2, 2, N, N) arrays indexed [p, q, i, m].
+suites.  Assembly takes those pairs in row blocks of a fixed number of pairs
+(`_PAIR_BLOCK`), so none of its temporaries grows with N^2.  The adjoint
+double layer K^T is K's transpose.  Splits are stored component-major, as
+(2, 2, N, N) arrays indexed [p, q, i, m].
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _I2, _J, build_quadrature
+from .quadrature import _I2, _J, _weight_columns
 from .special import RadialSuite, radial_suite
 
 __all__ = ["KernelSplit", "kernel_split", "TAGS"]
@@ -367,31 +369,48 @@ def kernel_split(material, grid, tag: str) -> KernelSplit:
 # for W and c_pv (...) J^T for K.
 _OFFSET_TERM_PATTERN = {"V": np.zeros((2, 2)), "K": _J.T, "W": _I2}
 
+# Node pairs per block of the assembly, fixed by timing calderon_matrix for
+# blocks of 1024 to 16384 pairs at n = 128, 256 and 512: smaller blocks were
+# slower, larger ones no faster.  A block's temporaries take about 3 MiB
+# whatever the grid size.
+_PAIR_BLOCK = 4096
 
-def _upper_pairs(material, grid, tags, nc, quad):
-    """What assembly reads on the node pairs i < j: their geometry, the
-    weighted suite w H + beta L, the node-offset terms c_hs (T - w csc^2/4pi)
-    of W and c_pv (w cot/4pi + pv/2) of K, and the flat indices of the blocks
-    (i, j) and (j, i) in an array whose rows are nc apart."""
-    N = grid.size
-    i, j = np.triu_indices(N, 1)
-    w = quad.trapezoid
+
+def _pair_blocks(N):
+    """The node pairs i < j in row-major order, in blocks of _PAIR_BLOCK
+    pairs (the last one shorter), as index arrays (i, j) found from the
+    first pair of each row."""
+    per_row = np.arange(N - 1, -1, -1)
+    row_start = np.cumsum(per_row) - per_row  # row i's first pair
+    total = N * (N - 1) // 2
+    for start in range(0, total, _PAIR_BLOCK):
+        k = np.arange(start, min(start + _PAIR_BLOCK, total))
+        i = np.searchsorted(row_start, k, side="right") - 1
+        yield i, k - row_start[i] + i + 1
+
+
+def _upper_pairs(material, grid, tags, columns, i, j):
+    """What assembly reads on the node pairs (i, j), i < j: their geometry,
+    the weighted suite w H + beta L and the node-offset terms
+    c_hs (T - w csc^2/4pi) of W and c_pv (w cot/4pi + pv/2) of K, where
+    columns holds the first columns of R, T and pv."""
+    R, T, pv = columns
+    w = np.pi / grid.n
     # R, T and pv are circulants: entry (i, j) is entry (i - j) mod N of
     # their first column
-    offset = i - j + N
+    offset = i - j + grid.size
     half = 0.5 * (grid.t[i] - grid.t[j])
     sin2 = np.sin(half) ** 2
-    beta = 0.5 * (2.0 * np.pi * quad.R[offset, 0] - w * np.log(4.0 * sin2))
+    beta = 0.5 * (2.0 * np.pi * R[offset] - w * np.log(4.0 * sin2))
     pairs = _node_pairs(material, grid, i, j)
     suite = _weighted(_radial_suites(material, pairs.r, tags), w, beta)
     terms = {}
     if "W" in tags:
-        terms["W"] = _c_hs(material, "W") * (quad.T[offset, 0]
-                                             - w / (4.0 * np.pi) / sin2)
+        terms["W"] = _c_hs(material, "W") * (T[offset] - w / (4.0 * np.pi) / sin2)
     if "K" in tags:
         terms["K"] = _c_pv(material, "K") * (w / (4.0 * np.pi) / np.tan(half)
-                                             + 0.5 * quad.pv[offset, 0])
-    return pairs, suite, terms, 2 * (i * nc + j), 2 * (j * nc + i)
+                                             + 0.5 * pv[offset])
+    return pairs, suite, terms
 
 
 def _assemble(material, grid, shape, blocks) -> np.ndarray:
@@ -400,7 +419,9 @@ def _assemble(material, grid, shape, blocks) -> np.ndarray:
 
     blocks maps each kernel tag to its targets (start, sign, transposed):
     sign times the 4n x 4n operator on interleaved densities, or its
-    transpose, with its entry (0, 0) at flat index `start`.  Each pair i < j
+    transpose, with its entry (0, 0) at flat index `start`.  The pairs i < j
+    are evaluated in row blocks of _PAIR_BLOCK pairs, each written out and
+    dropped before the next, so no temporary grows with N^2.  Each pair
     (and, for K, its swap) is one contraction of the weighted suite
     w H + beta L per component, plus the node-offset terms on W's diagonal
     and K's off-diagonal components; the diagonal blocks are
@@ -409,15 +430,12 @@ def _assemble(material, grid, shape, blocks) -> np.ndarray:
     """
     tags = tuple(blocks)
     nc = shape[-1]
-    quad = build_quadrature(grid.n)
-    upper, suite, terms, f_up, f_low = _upper_pairs(material, grid, tags, nc, quad)
+    R, T, _ = columns = _weight_columns(grid.n)
     smooth_diag, log_diag = _diagonal_limits(material, grid, tags)
-    diagonals = {tag: quad.trapezoid * smooth_diag[tag]
-                 + 2.0 * np.pi * quad.R[0, 0] * log_diag[tag]
-                 + _c_hs(material, tag) * quad.T[0, 0] * _I2[:, :, None]
+    diagonals = {tag: np.pi / grid.n * smooth_diag[tag]
+                 + 2.0 * np.pi * R[0] * log_diag[tag]
+                 + _c_hs(material, tag) * T[0] * _I2[:, :, None]
                  for tag in tags}
-    del quad, smooth_diag, log_diag  # freed before the output is allocated
-    f_diag = 2 * (nc + 1) * np.arange(grid.size)
     out = np.empty(shape, dtype=complex)
     flat = out.reshape(-1)
 
@@ -435,22 +453,29 @@ def _assemble(material, grid, shape, blocks) -> np.ndarray:
             else:
                 flat[start + p * nc + q:][f_ab] = values
 
+    # V and W also write each pair's block, transposed, for the pair (j, i)
+    pair_targets = {tag: targets if tag == "K" else
+                    targets + [(start, s, not tr) for start, s, tr in targets]
+                    for tag, targets in blocks.items()}
+    for i, j in _pair_blocks(grid.size):
+        upper, suite, terms = _upper_pairs(material, grid, tags, columns, i, j)
+        f_up, f_low = 2 * (i * nc + j), 2 * (j * nc + i)
+        for tag in tags:
+            if tag == "K":
+                # the swapped pairs' cot and pv terms change sign
+                sets = ((upper, f_up, f_low, 1.0), (upper.swapped(), f_low, f_up, -1.0))
+            else:
+                sets = ((upper, f_up, f_low, 1.0),)
+            term = terms.pop(tag, None)
+            for pairs, f_ab, f_ba, side in sets:
+                for p, q, values in pairs.components(tag, suite):
+                    coef = side * _OFFSET_TERM_PATTERN[tag][p, q]
+                    if coef:
+                        re = values.real
+                        re += term if coef > 0 else -term
+                    write(p, q, values, f_ab, f_ba, pair_targets[tag])
+    f_diag = 2 * (nc + 1) * np.arange(grid.size)
     for tag in tags:
-        targets = blocks[tag]
-        if tag == "K":
-            # the swapped pairs' cot and pv terms change sign
-            sets = ((upper, f_up, f_low, 1.0), (upper.swapped(), f_low, f_up, -1.0))
-        else:
-            sets = ((upper, f_up, f_low, 1.0),)
-            targets = targets + [(start, s, not tr) for start, s, tr in targets]
-        term = terms.pop(tag, None)
-        for pairs, f_ab, f_ba, side in sets:
-            for p, q, values in pairs.components(tag, suite):
-                coef = side * _OFFSET_TERM_PATTERN[tag][p, q]
-                if coef:
-                    re = values.real
-                    re += term if coef > 0 else -term
-                write(p, q, values, f_ab, f_ba, targets)
         for p in range(2):
             for q in range(2):
                 write(p, q, diagonals[tag][p, q], f_diag, f_diag, blocks[tag])

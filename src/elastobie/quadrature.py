@@ -54,17 +54,24 @@ class QuadratureSet:
 def build_quadrature(n: int) -> QuadratureSet:
     """Materialize all weight families for the 2n-point periodic grid.
 
-    R, T and pv are the circulants of their mode actions -1/|k|, -|k| and
-    i sign(k), with 0 at k = 0 and pv 0 at the Nyquist mode.
+    R, T and pv are the circulants of their first columns (`_weight_columns`).
     """
     if not (isinstance(n, numbers.Integral) and n >= 4):
         raise ValueError(f"n {n!r} is not an integer >= 4")
+    R, T, pv = (scipy.linalg.circulant(col) for col in _weight_columns(n))
+    return QuadratureSet(n=n, R=R, T=T, pv=pv, trapezoid=np.pi / n)
+
+
+def _weight_columns(n: int) -> tuple:
+    """First columns of R, T and pv on the 2n-point grid: the inverse FFTs
+    of the mode actions -1/|k|, -|k| and i sign(k), with 0 at k = 0 and pv 0
+    at the Nyquist mode.  Entry (i, m) of each weight is entry (i - m) mod 2n
+    of its column."""
     k = _grid_modes(2 * n)
     pv = 1j * np.sign(k)
     pv[n] = 0.0  # the Nyquist mode -n
-    return QuadratureSet(n=n, R=_circulant(-1.0 / np.where(k, abs(k), np.inf)),
-                         T=_circulant(-1.0 * abs(k)),
-                         pv=_circulant(pv, odd=True), trapezoid=np.pi / n)
+    return (_column(-1.0 / np.where(k, abs(k), np.inf)), _column(-1.0 * abs(k)),
+            _column(pv, odd=True))
 
 
 def _grid_modes(N: int) -> np.ndarray:
@@ -72,15 +79,15 @@ def _grid_modes(N: int) -> np.ndarray:
     return np.fft.fftfreq(N, d=1.0 / N).astype(int)
 
 
-def _circulant(action: np.ndarray, odd: bool = False) -> np.ndarray:
-    """W[i, m] = col[(i - m) mod 2n], col = ifft(action).real with col[0..n]
-    mirrored (col[2n-k] = +-col[k]): W exactly symmetric or antisymmetric."""
+def _column(action: np.ndarray, odd: bool = False) -> np.ndarray:
+    """col = ifft(action).real with col[0..n] mirrored (col[2n-k] = +-col[k]),
+    so that its circulant is exactly symmetric or antisymmetric."""
     n = action.size // 2
     col = np.fft.ifft(action).real
     col[n + 1:] = (-1.0 if odd else 1.0) * col[n - 1:0:-1]
     if odd:
         col[0] = col[n] = 0.0
-    return scipy.linalg.circulant(col)
+    return col
 
 
 def flatten_density(values: np.ndarray) -> np.ndarray:

@@ -8,6 +8,9 @@ enough"), two matrix-vector products with the stored basis per pass.  The
 product Q of the Givens rotations (lower Hessenberg) rotates a new column in
 one product, a new rotation changes two rows of Q, the rotated right-hand
 side is ||b|| Q[:, 0], and convergence is declared on ||b - A x|| / ||b||.
+The basis, the triangular factor H and Q start with room for 64 iterations
+and double as needed, so a solve's memory grows with the iterations it
+runs, not with maxiter.
 """
 
 from __future__ import annotations
@@ -58,10 +61,10 @@ def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
         return SolveReport(x=np.zeros_like(b), iterations=0, residual=0.0,
                            converged=True)
 
-    V = np.empty((maxiter + 1, N), dtype=complex)
-    H = np.zeros((maxiter + 1, maxiter), dtype=complex)
-    # Q grows by doubling, with the iterations run, not with maxiter
+    # V, H and Q grow by doubling, with the iterations run, not with maxiter
     size = min(maxiter + 1, 64)
+    V = np.empty((size, N), dtype=complex)
+    H = np.zeros((size, size), dtype=complex)
     Q = np.zeros((size, size), dtype=complex)
     Q[0, 0] = 1.0
     history = []
@@ -87,6 +90,8 @@ def gmres(A, b, tol: float = 1e-8, maxiter: int | None = None) -> SolveReport:
         cs, sn = a.conjugate() / r, hnorm / r
         if k + 2 > size:
             size = min(2 * size, maxiter + 1)
+            V = np.pad(V, ((0, size - len(V)), (0, 0)))
+            H = np.pad(H, (0, size - len(H)))
             Q = np.pad(Q, (0, size - len(Q)))
         H[:k, k] = col[:k]
         H[k, k] = cs * a + sn * hnorm

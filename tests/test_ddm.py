@@ -140,9 +140,10 @@ def test_subdomain_maps_keep_less_than_their_calderon_matrices(preset_mats):
     # A map keeps D (2L x L) and the LU factors of B (L x L): 12 MiB at
     # n=128, 3/4 of its 16 MiB Calderon matrix, which it does not keep.
     # The second Calderon build, next to the first map, sets the assembly's
-    # peak: 41.3 MiB measured with the multiplier products formed in C's
-    # column halves, against 53.1 MiB when each product made a conjugate-
-    # transposed copy of its half and a second array for its result.
+    # peak: 36.3 MiB measured with the pairs evaluated in row blocks, against
+    # 41.3 MiB when all pairs were evaluated at once and 53.1 MiB when each
+    # multiplier product also made a conjugate-transposed copy of its column
+    # half and a second array for its result.
     mp, mm = preset_mats
     grid = sample_grid(make_curve("starfish"), 128)
     inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
@@ -161,7 +162,7 @@ def test_subdomain_maps_keep_less_than_their_calderon_matrices(preset_mats):
             del S
     finally:
         tracemalloc.stop()
-    assert peak <= 42.0 * 2**20, peak / 2**20
+    assert peak <= 37.5 * 2**20, peak / 2**20
 
 
 def test_interior_rtr_against_manufactured_solution(grid, mats, robin):

@@ -2,6 +2,7 @@
 component forms against the stacked products, split structure, and the
 direct operator assembly against the assembled splits."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import hankel1
 
-from elastobie import kernel_split, make_curve, make_material, sample_grid
+from elastobie import kernel_split, kernels, make_curve, make_material, sample_grid
 from elastobie.formulations import boundary_operators, calderon_matrix
 from elastobie.kernels import TAGS, _LIMIT_WEIGHTS, _STEPS, _c_hs, _c_pv
 from elastobie.quadrature import assemble_bio, build_quadrature
@@ -202,9 +203,31 @@ def test_split_evaluates_each_unordered_pair_once(starfish32, mat28, monkeypatch
     boundary_operators(mat28, starfish32, TAGS)
     N = starfish32.size
     # The operators' assembly evaluates both bases on the N(N-1)/2 pairs
-    # i < j and at 7 extrapolation steps at +-h for each of the N diagonal
-    # entries.
+    # i < j, a block of pairs at a time, and at 7 extrapolation steps at +-h
+    # for each of the N diagonal entries.
     assert sum(points) == 2 * (N * (N - 1) // 2) + 2 * (2 * 7 * N)
+    assert max(points) <= max(kernels._PAIR_BLOCK, 2 * 7 * N)
+
+
+@pytest.mark.parametrize("curve", ["circle", "starfish", "cavity"])
+@pytest.mark.parametrize("n", [64, 128])
+def test_assembly_is_the_same_for_every_pair_block(curve, n, monkeypatch):
+    # Blocks of less than one row (row 0 holds N - 1 pairs, so blocks start
+    # and end inside rows), the default, and one block of all pairs: every
+    # entry is computed elementwise, so the operators agree to the bit.
+    material = make_material(2.0, 1.0, 20.0)
+    grid = sample_grid(make_curve(curve), n)
+    N = grid.size
+    builds = [lambda: [calderon_matrix(material, grid)]] + [
+        lambda tags=tags: list(boundary_operators(material, grid, tags).values())
+        for k in (1, 2, 3) for tags in itertools.combinations(TAGS, k)]
+    default = kernels._PAIR_BLOCK
+    for build in builds:
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", default)
+        want = build()
+        for block in (N - 3, N * (N - 1) // 2):
+            monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
+            assert all(np.array_equal(a, b) for a, b in zip(build(), want)), block
 
 
 @pytest.mark.parametrize("curve", ["circle", "starfish", "cavity"])
@@ -240,18 +263,22 @@ def test_direct_assembly_matches_the_assembled_splits(curve, n, lame):
 
 
 def test_calderon_matrix_allocates_little_beyond_its_result():
-    # starfish, (lam, mu) = (2, 8), omega = 10, n = 128: the 16 MiB result
-    # plus at most 16 MiB of pair temporaries (29.3 MiB measured).
+    # starfish, (lam, mu) = (2, 8), omega = 10: the result (16 MiB at
+    # n = 128, 64 MiB at n = 256) plus at most 4 MiB of pair temporaries,
+    # which the row blocks keep to a fixed size.  Measured: 18.8 and
+    # 67.0 MiB; 29.3 and 117.0 MiB when all pairs were evaluated at once.
     material = make_material(lam=2.0, mu=8.0, omega=10.0)
-    grid = sample_grid(make_curve("starfish"), 128)
-    tracemalloc.start()
-    try:
-        C = calderon_matrix(material, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert C.nbytes == 16 * 2**20
-    assert peak <= C.nbytes + 16 * 2**20, peak / 2**20
+    for n, result in ((128, 16 * 2**20), (256, 64 * 2**20)):
+        grid = sample_grid(make_curve("starfish"), n)
+        tracemalloc.start()
+        try:
+            C = calderon_matrix(material, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert C.nbytes == result
+        assert peak <= C.nbytes + 4 * 2**20, (n, peak / 2**20)
+        del C
 
 
 def test_singularity_constants(mat21):

@@ -1,5 +1,7 @@
 """Linear solver tests: GMRES against direct solves and scipy's reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,25 @@ def test_gmres_applies_any_operand_with_matmul(rng):
     dense = gmres(symbol_matrix(sym, n), b, tol=1e-10)
     assert by_fft.iterations == dense.iterations > 2
     assert np.linalg.norm(by_fft.x - dense.x) < 1e-12 * np.linalg.norm(dense.x)
+
+
+def test_storage_grows_with_the_iterations_run(rng):
+    # 1024 unknowns, converged in under 64 iterations: the basis, H and the
+    # rotations take O(k N), about 1 MiB here, not the 2 x 16.8 MB of a
+    # basis and an H sized for maxiter = N (32.1 MiB measured that way).
+    N = 1024
+    A = np.eye(N) + 0.3 * (rng.standard_normal((N, N))
+                           + 1j * rng.standard_normal((N, N))) / np.sqrt(2 * N)
+    b = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    tracemalloc.start()
+    try:
+        report = gmres(A, b, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.iterations < 64
+    assert peak <= 2 * 2**20, peak / 2**20
+    assert np.linalg.norm(A @ report.x - b) <= 1e-11 * np.linalg.norm(b)
 
 
 def test_exact_solution_in_few_iterations():
