@@ -25,6 +25,11 @@ Formulations assembled here:
 * transmission DCFIER  (1/2 I + C- - R^T (C+ + C-)) (...) = R^T (rhs of SC)
 * transmission ICFIER  (1/2 I - C- + (C+ + C-) R) (g, phi) = (rhs of SC)
 
+One pass over the node pairs evaluates C+ and C- together and writes each
+transmission system entry once, as the sum of their entries with
+coefficients +-1: KR as C- - C+ plus I on the diagonal, SC as C+ + C-
+negated in place, and DCFIER and ICFIER from C+ + C- and C- as two arrays.
+
 Each assembler returns its system with its representation: `represent` maps
 a solution to the layer potentials of its fields, as in the ansatz above.
 """
@@ -126,20 +131,30 @@ def boundary_operators(material: Material, grid, tags=TAGS) -> dict:
     and T are exactly symmetric, pv is exactly antisymmetric and J^T = -J."""
     tags = _check_tags(tags)
     size = 2 * grid.size
-    ops = _assemble(material, grid, (len(tags), size, size),
-                    {tag: [(k * size * size, 1.0, False)] for k, tag in enumerate(tags)})
+    (ops,) = _assemble((material,), grid, [(len(tags), size, size)],
+                       {tag: [(0, k * size * size, (1,), False)]
+                        for k, tag in enumerate(tags)})
     return dict(zip(tags, ops))
+
+
+def _calderon_targets(grid, a, coefs) -> dict:
+    """The kernels._assemble targets that write sum_k coefs[k] C_k into its
+    array a, C_k = [[K, -V], [W, -K^T]] of material k: -V and -K^T take the
+    negated coefficients, -K^T written as K's transpose."""
+    size = 2 * grid.size
+    lower = 2 * size * size  # flat index of the first row of W and -K^T
+    neg = tuple(-c for c in coefs)
+    return {"K": [(a, 0, coefs, False), (a, lower + size, neg, True)],
+            "V": [(a, size, neg, False)],
+            "W": [(a, lower, coefs, False)]}
 
 
 def calderon_matrix(material: Material, grid) -> np.ndarray:
     """Dense 8n x 8n Calderon block operator C = [[K, -V], [W, -K^T]],
     each block written in place; -K^T is K's negated transpose."""
-    size = 2 * grid.size
-    lower = 2 * size * size  # flat index of the first row of W and -K^T
-    return _assemble(material, grid, (2 * size, 2 * size),
-                     {"K": [(0, 1.0, False), (lower + size, -1.0, True)],
-                      "V": [(size, -1.0, False)],
-                      "W": [(lower, 1.0, False)]})
+    (C,) = _assemble((material,), grid, [(4 * grid.size,) * 2],
+                     _calderon_targets(grid, 0, (1,)))
+    return C
 
 
 def assemble_dirichlet(kind: str, material: Material, grid,
@@ -251,10 +266,10 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
         raise ValueError(f"unknown transmission formulation {kind!r}")
     inc_trace, inc_traction = _incident_cauchy_data(mat_plus, grid, incident,
                                                     cauchy_data)
-    # The system is built in place in the Calderon matrices' memory.
-    Cp = calderon_matrix(mat_plus, grid)
-    Cm = calderon_matrix(mat_minus, grid)
-    diag = np.diag_indices_from(Cp)
+    # One pass over the node pairs writes C+ and C- straight into the
+    # system as their signed sum; the regularized systems also keep C-.
+    mats, shape = (mat_plus, mat_minus), (4 * grid.size,) * 2
+    diag = np.diag_indices(shape[0])
     b0 = np.concatenate([flatten_density(inc_trace),
                          flatten_density(inc_traction)])
     rhs = b0
@@ -262,33 +277,36 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
         # RHS carries no factor 2: applying (I + C- - C+) to the interior
         # Cauchy data and using the Calderon identities yields exactly the
         # incident Cauchy data (verified against the SC solve).
-        A = Cm
-        A -= Cp
+        (A,) = _assemble(mats, grid, [shape], _calderon_targets(grid, 0, (-1, 1)))
         A[diag] += 1.0
+    elif kind == "SC":
+        # -(C+ + C-), negated after the sum: coefficients (-1, -1) would give
+        # an exact zero of the sum the other sign
+        (A,) = _assemble(mats, grid, [shape], _calderon_targets(grid, 0, (1, 1)))
+        np.negative(A, out=A)
     else:
-        S = Cp
-        S += Cm  # C+ + C-
-        if kind == "SC":
-            A = np.negative(S, out=S)
+        S_targets = _calderon_targets(grid, 0, (1, 1))  # C+ + C-
+        Cm_targets = _calderon_targets(grid, 1, (0, 1))
+        S, Cm = _assemble(mats, grid, [shape, shape],
+                          {tag: S_targets[tag] + Cm_targets[tag] for tag in TAGS})
+        # kappa=None complexifies each material's Calderon symbol with
+        # its own kappa (the benchmark convention); a complex value is
+        # shared.
+        reg = make_transmission_regularizer(mat_plus, mat_minus, kappa,
+                                            n_max=grid.n)
+        if kind == "DCFIER":
+            # 1/2 I + C- - R^T (C+ + C-)
+            A = np.subtract(Cm, _matmul_in_place(reg.RT, S), out=Cm)
+            rhs = reg.RT @ b0
         else:
-            # kappa=None complexifies each material's Calderon symbol with
-            # its own kappa (the benchmark convention); a complex value is
-            # shared.
-            reg = make_transmission_regularizer(mat_plus, mat_minus, kappa,
-                                                n_max=grid.n)
-            if kind == "DCFIER":
-                # 1/2 I + C- - R^T (C+ + C-)
-                A = np.subtract(Cm, _matmul_in_place(reg.RT, S), out=Cm)
-                rhs = reg.RT @ b0
-            else:
-                # 1/2 I - C- + (C+ + C-) R.  The indirect reconstruction's
-                # Cauchy-data jumps equal +L_ind (g, phi); matching the
-                # physical jumps -(incident data) requires the negated RHS
-                # (verified against the direct solves).
-                A = _matmul_in_place(S, reg.R)
-                A -= Cm
-                rhs = -b0
-            A[diag] += 0.5
+            # 1/2 I - C- + (C+ + C-) R.  The indirect reconstruction's
+            # Cauchy-data jumps equal +L_ind (g, phi); matching the
+            # physical jumps -(incident data) requires the negated RHS
+            # (verified against the direct solves).
+            A = _matmul_in_place(S, reg.R)
+            A -= Cm
+            rhs = -b0
+        A[diag] += 0.5
     if kind == "ICFIER":
         def represent(x):
             # u+ = DL+ R1 - SL+ R2,  u- = DL- (g - R1) - SL- (phi - R2),

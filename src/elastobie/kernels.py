@@ -39,7 +39,10 @@ symmetric under the swap of the two points, V and W are block-symmetric (the
 lower triangle is the block transpose of the upper one), and K's lower
 triangle is K's formula with r negated and the normals exchanged, on the same
 suites.  Assembly takes those pairs in row blocks of a fixed number of pairs
-(`_PAIR_BLOCK`), so none of its temporaries grows with N^2.  The adjoint
+(`_PAIR_BLOCK`), so none of its temporaries grows with N^2, and one pass over
+them serves one or two materials: each block's geometry is built once, and
+each entry written is the sum, with coefficients +-1, of the materials'
+kernels (the transmission systems' C- - C+ and C+ + C-).  The adjoint
 double layer K^T is K's transpose.  Splits are stored component-major, as
 (2, 2, N, N) arrays indexed [p, q, i, m].
 """
@@ -71,17 +74,17 @@ def _dot(a, b):
 
 class _Pairs:
     """Real geometry of a batch of (row, column) point pairs, and the
-    kernels V, K and W on it.
+    kernels V, K and W of any material on it.
 
     With r = x_row - x_col, rho = 1/r^2, m the row normal and n the column
     normal, each kernel is a sum of coefficient fields times the outer
     products of m, n and r and times I.  The coefficients are linear in the
     radial suite, so a kernel of a weighted sum of suites is the weighted sum
     of the kernels.  The row normal enters W only and may be None otherwise.
+    The material's Lame constants enter the coefficients only.
     """
 
-    def __init__(self, material, x_r, nu_r, x_c, nu_c):
-        self.lam, self.mu = material.lam, material.mu
+    def __init__(self, x_r, nu_r, x_c, nu_c):
         self.m, self.n = nu_r, nu_c
         self.rvec = x_r - x_c
         r2 = _dot(self.rvec, self.rvec)
@@ -95,11 +98,12 @@ class _Pairs:
         out.rvec, out.m, out.n = -self.rvec, self.n, self.m
         return out
 
-    def components(self, tag, rs):
-        """Yield (p, q, component (p, q)) of kernel `tag` (V, K or W) from the
-        radial suite rs: the coefficient fields contracted with component
-        (p, q) of their outer products, one component at a time."""
-        terms, diag = getattr(self, f"_{tag}")(rs)
+    def components(self, material, tag, rs):
+        """Yield (p, q, component (p, q)) of kernel `tag` (V, K or W) of
+        `material` from its radial suite rs: the coefficient fields
+        contracted with component (p, q) of their outer products, one
+        component at a time."""
+        terms, diag = getattr(self, f"_{tag}")(material, rs)
         for p in range(2):
             for q in range(2):
                 (c, a, b), *rest = terms
@@ -110,14 +114,15 @@ class _Pairs:
                     acc += diag
                 yield p, q, acc
 
-    def kernel(self, tag, rs):
-        """Kernel `tag` from the radial suite rs, as (2, 2, ...) values."""
+    def kernel(self, material, tag, rs):
+        """Kernel `tag` of `material` from its radial suite rs, as (2, 2, ...)
+        values."""
         values = [[None, None], [None, None]]
-        for p, q, component in self.components(tag, rs):
+        for p, q, component in self.components(material, tag, rs):
             values[p][q] = component
         return np.array(values)
 
-    def _V(self, rs):
+    def _V(self, material, rs):
         # V = Phi1 I + Phi2 G with G = rho r r^T
         return [(rs.Phi2 * self.rho, self.rvec, self.rvec)], rs.Phi1
 
@@ -126,12 +131,12 @@ class _Pairs:
         inv_r = 1.0 / self.r
         return rs.dPhi1 * inv_r, rs.dPhi2 * inv_r, rs.Phi2 * self.rho
 
-    def _K(self, rs):
+    def _K(self, material, rs):
         # K = -f1 A - f2 G A - f3 C with A = U1(n, r)^T, C = U2(n, r)^T:
         #   A   = lam r n^T + mu n r^T + mu s_n I,
         #   G A = lam r n^T + 2 mu s_n rho r r^T,
         #   C   = (lam + 2 mu) r n^T + mu n r^T - 4 mu s_n rho r r^T + mu s_n I.
-        lam, mu, r, n = self.lam, self.mu, self.rvec, self.n
+        lam, mu, r, n = material.lam, material.mu, self.rvec, self.n
         f1, f2, f3 = self._radial(rs)
         s_n = _dot(n, r)
         c_nr = -mu * (f1 + f3)
@@ -169,8 +174,9 @@ class _Pairs:
     # with x = -mu^2 (a1 + a3 + 2 f2 - 4 f3), y = -2 mu^2 (f1 + f3) and
     # c_mn, c_mr, c_rn as below.
 
-    def _W(self, rs):
-        lam, mu, m, n, r, rho = self.lam, self.mu, self.m, self.n, self.rvec, self.rho
+    def _W(self, material, rs):
+        lam, mu = material.lam, material.mu
+        m, n, r, rho = self.m, self.n, self.rvec, self.rho
         lm, mm = lam * mu, mu * mu
         f1, f2, f3 = self._radial(rs)
         a1, a2, a3 = rs.d2Phi1 - f1, rs.d2Phi2 - f2, f2 - 2.0 * f3
@@ -199,9 +205,7 @@ class _Pairs:
 
 def _radial_suites(material, r, tags):
     """Log-basis and Hankel-basis radial suites at the distances r."""
-    second = "W" in tags
-    return (radial_suite(material, r, basis="log", second=second),
-            radial_suite(material, r, basis="hankel", second=second))
+    return radial_suite(material, r, basis=("log", "hankel"), second="W" in tags)
 
 
 def _weighted(suites, a, b):
@@ -238,13 +242,14 @@ def _subtract_singular(material, tag, dtau, values):
         values[1, 0] -= cot
 
 
-def _smooth_values(material, pairs, suites, tag, dtau):
-    """M_smooth of kernel `tag` on pairs off the diagonal at parameter
-    offsets dtau: the kernel of the suites weighted (1, -1/2 log 4 sin^2),
-    less the singular parts."""
-    logfac = np.log(4.0 * np.sin(0.5 * dtau) ** 2)
-    values = pairs.kernel(tag, _weighted(suites, 1.0, -0.5 * logfac))
-    _subtract_singular(material, tag, dtau, values)
+def _smooth_values(material, pairs, suites, tags, dtau):
+    """M_smooth of each kernel of `tags` on pairs off the diagonal at
+    parameter offsets dtau: the kernel of the suites weighted
+    (1, -1/2 log 4 sin^2), less the singular parts."""
+    smooth = _weighted(suites, 1.0, -0.5 * np.log(4.0 * np.sin(0.5 * dtau) ** 2))
+    values = [pairs.kernel(material, tag, smooth) for tag in tags]
+    for tag, v in zip(tags, values):
+        _subtract_singular(material, tag, dtau, v)
     return values
 
 
@@ -301,12 +306,12 @@ def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
     curve, t = grid.curve, grid.t[None, :]
     hs = min(5e-2, 0.8 / material.ks) * _STEPS
     tau = t + np.concatenate([hs, -hs])[:, None]  # offsets +hs, then -hs
-    pairs = _Pairs(material, *(np.moveaxis(v, -1, 0) for v in (
+    pairs = _Pairs(*(np.moveaxis(v, -1, 0) for v in (
         curve.eval(tau), curve.normal(tau), curve.eval(t), curve.normal(t))))
     suites = _radial_suites(material, pairs.r, tags)
-    vals = [_smooth_values(material, pairs, suites, tag, tau - t) for tag in tags]
+    vals = _smooth_values(material, pairs, suites, tags, tau - t)
     if "W" in tags:
-        vals.append(pairs.kernel("W", _weighted(suites, 0.0, 0.5)))
+        vals.append(pairs.kernel(material, "W", _weighted(suites, 0.0, 0.5)))
     limits = np.tensordot(np.stack(vals), _LIMIT_WEIGHTS, axes=([-2], [0]))
     N = grid.size
     logs = {"V": np.broadcast_to((-material.beta / (2.0 * np.pi) * _I2)[:, :, None],
@@ -317,12 +322,11 @@ def _diagonal_limits(material, grid, tags) -> tuple[dict, dict]:
     return dict(zip(tags, limits)), {tag: logs[tag] for tag in tags}
 
 
-def _node_pairs(material, grid, rows, cols):
+def _node_pairs(grid, rows, cols):
     """Pair geometry of the grid nodes rows[k] (row) and cols[k] (column)."""
     # take() keeps the (2, P) rows contiguous; x.T[:, i] would interleave them
     x, nu = grid.x.T, grid.nu.T
-    return _Pairs(material, x.take(rows, 1), nu.take(rows, 1),
-                  x.take(cols, 1), nu.take(cols, 1))
+    return _Pairs(x.take(rows, 1), nu.take(rows, 1), x.take(cols, 1), nu.take(cols, 1))
 
 
 def kernel_split(material, grid, tag: str) -> KernelSplit:
@@ -337,15 +341,15 @@ def kernel_split(material, grid, tag: str) -> KernelSplit:
     N = grid.size
     i, j = np.triu_indices(N, 1)
     d = grid.t[i] - grid.t[j]
-    upper = _node_pairs(material, grid, i, j)
+    upper = _node_pairs(grid, i, j)
     suites = _radial_suites(material, upper.r, (tag,))
     log_suite = _weighted(suites, 0.0, 0.5)
-    ups = (upper.kernel(tag, log_suite),
-           _smooth_values(material, upper, suites, tag, d))
+    ups = (upper.kernel(material, tag, log_suite),
+           *_smooth_values(material, upper, suites, (tag,), d))
     if tag == "K":
         swapped = upper.swapped()
-        lows = (swapped.kernel(tag, log_suite),
-                _smooth_values(material, swapped, suites, tag, -d))
+        lows = (swapped.kernel(material, tag, log_suite),
+                *_smooth_values(material, swapped, suites, (tag,), -d))
     else:
         lows = tuple(v.swapaxes(0, 1) for v in ups)
     smooth_diag, log_diag = _diagonal_limits(material, grid, (tag,))
@@ -371,8 +375,8 @@ _OFFSET_TERM_PATTERN = {"V": np.zeros((2, 2)), "K": _J.T, "W": _I2}
 
 # Node pairs per block of the assembly, fixed by timing calderon_matrix for
 # blocks of 1024 to 16384 pairs at n = 128, 256 and 512: smaller blocks were
-# slower, larger ones no faster.  A block's temporaries take about 3 MiB
-# whatever the grid size.
+# slower, larger ones no faster.  A block's temporaries take about 3 MiB for
+# one material and 4 MiB for two, whatever the grid size.
 _PAIR_BLOCK = 4096
 
 
@@ -389,10 +393,10 @@ def _pair_blocks(N):
         yield i, k - row_start[i] + i + 1
 
 
-def _upper_pairs(material, grid, tags, columns, i, j):
-    """What assembly reads on the node pairs (i, j), i < j: their geometry,
-    the weighted suite w H + beta L and the node-offset terms
-    c_hs (T - w csc^2/4pi) of W and c_pv (w cot/4pi + pv/2) of K, where
+def _upper_pairs(materials, grid, tags, columns, i, j):
+    """What assembly reads on the node pairs (i, j), i < j: their geometry
+    and, per material, the weighted suite w H + beta L and the node-offset
+    terms c_hs (T - w csc^2/4pi) of W and c_pv (w cot/4pi + pv/2) of K, where
     columns holds the first columns of R, T and pv."""
     R, T, pv = columns
     w = np.pi / grid.n
@@ -402,63 +406,96 @@ def _upper_pairs(material, grid, tags, columns, i, j):
     half = 0.5 * (grid.t[i] - grid.t[j])
     sin2 = np.sin(half) ** 2
     beta = 0.5 * (2.0 * np.pi * R[offset] - w * np.log(4.0 * sin2))
-    pairs = _node_pairs(material, grid, i, j)
-    suite = _weighted(_radial_suites(material, pairs.r, tags), w, beta)
-    terms = {}
+    pairs = _node_pairs(grid, i, j)
+    weights = {}
     if "W" in tags:
-        terms["W"] = _c_hs(material, "W") * (T[offset] - w / (4.0 * np.pi) / sin2)
+        weights["W"] = T[offset] - w / (4.0 * np.pi) / sin2
     if "K" in tags:
-        terms["K"] = _c_pv(material, "K") * (w / (4.0 * np.pi) / np.tan(half)
-                                             + 0.5 * pv[offset])
-    return pairs, suite, terms
+        weights["K"] = w / (4.0 * np.pi) / np.tan(half) + 0.5 * pv[offset]
+    constants = {"W": _c_hs, "K": _c_pv}
+    suites = [_weighted(_radial_suites(material, pairs.r, tags), w, beta)
+              for material in materials]
+    terms = [{tag: constants[tag](material, tag) * weight
+              for tag, weight in weights.items()} for material in materials]
+    return pairs, suites, terms
 
 
-def _assemble(material, grid, shape, blocks) -> np.ndarray:
-    """The C-ordered complex array of `shape` that holds the dense operators
-    `blocks` names.
+def _signed_sum(values, coefs, out):
+    """sum_k coefs[k] values[k] for coefficients -1, 0 or 1: values[k]
+    itself for a single coefficient 1, else computed in `out`.  Positive
+    terms go first; a sum of two terms is then one IEEE a + b or
+    a - b = a + (-b), which rounds to the same bits in either order."""
+    (c, acc), *rest = sorted(((c, v) for c, v in zip(coefs, values) if c),
+                             key=lambda term: -term[0])
+    if c < 0:
+        acc = np.negative(acc, out=out)
+    for c, v in rest:
+        acc = (np.add if c > 0 else np.subtract)(acc, v, out=out)
+    return acc
 
-    blocks maps each kernel tag to its targets (start, sign, transposed):
-    sign times the 4n x 4n operator on interleaved densities, or its
-    transpose, with its entry (0, 0) at flat index `start`.  The pairs i < j
-    are evaluated in row blocks of _PAIR_BLOCK pairs, each written out and
-    dropped before the next, so no temporary grows with N^2.  Each pair
-    (and, for K, its swap) is one contraction of the weighted suite
-    w H + beta L per component, plus the node-offset terms on W's diagonal
-    and K's off-diagonal components; the diagonal blocks are
-    w M_smooth + 2 pi R M_log + c_hs T from the extrapolated limits.  V and W
-    write each pair's block transposed for the pair (j, i).
+
+def _assemble(materials, grid, shapes, blocks) -> list:
+    """The C-ordered complex arrays of `shapes`, all with the same number of
+    columns, that hold the dense operators `blocks` names.
+
+    blocks maps each kernel tag to its targets (a, start, coefs,
+    transposed): the sum over `materials` of coefs[k] (-1, 0 or 1) times
+    material k's 4n x 4n operator on interleaved densities, or the sum's
+    transpose, with its entry (0, 0) at flat index `start` of array a.
+
+    One pass over the pairs i < j serves every material, in row blocks of
+    _PAIR_BLOCK pairs, each written out and dropped before the next,
+    so no temporary grows with N^2.  A block builds the pair geometry, the
+    indices and the node-offset weights once.  Each pair (and, for K, its
+    swap) is one contraction per material and component of the material's
+    weighted suite w H + beta L, plus its node-offset terms on W's diagonal
+    and K's off-diagonal components; the materials are contracted in
+    lockstep, one component each at a time, and each target is written its
+    signed sum once.  The diagonal blocks are each material's
+    w M_smooth + 2 pi R M_log + c_hs T from its extrapolated limits, summed
+    the same way.  V and W write each pair's block transposed for the pair
+    (j, i).
     """
     tags = tuple(blocks)
-    nc = shape[-1]
+    (nc,) = {shape[-1] for shape in shapes}
     R, T, _ = columns = _weight_columns(grid.n)
-    smooth_diag, log_diag = _diagonal_limits(material, grid, tags)
-    diagonals = {tag: np.pi / grid.n * smooth_diag[tag]
-                 + 2.0 * np.pi * R[0] * log_diag[tag]
-                 + _c_hs(material, tag) * T[0] * _I2[:, :, None]
-                 for tag in tags}
-    out = np.empty(shape, dtype=complex)
-    flat = out.reshape(-1)
+    diagonals = []
+    for material in materials:
+        smooth_diag, log_diag = _diagonal_limits(material, grid, tags)
+        diagonals.append({tag: np.pi / grid.n * smooth_diag[tag]
+                          + 2.0 * np.pi * R[0] * log_diag[tag]
+                          + _c_hs(material, tag) * T[0] * _I2[:, :, None]
+                          for tag in tags})
+    # allocated after the diagonal limits, whose temporaries grow with N
+    outs = [np.empty(shape, dtype=complex) for shape in shapes]
+    flats = [out.reshape(-1) for out in outs]
 
-    def write(p, q, values, f_ab, f_ba, targets):
-        """Component (p, q) of the blocks (a, b) to rows 2a+p, columns 2b+q
-        of each target, or to rows 2b+q, columns 2a+p of a transposed one;
-        values is negated in place for the targets of sign -1, written last."""
-        sign = 1.0
-        for start, s, transposed in sorted(targets, key=lambda target: -target[1]):
-            if s != sign:
-                np.negative(values, out=values)
-                sign = s
-            if transposed:
-                flat[start + q * nc + p:][f_ba] = values
-            else:
-                flat[start + p * nc + q:][f_ab] = values
+    def by_coefs(targets):
+        """The targets as (coefs, [(flat array, start, transposed), ...])."""
+        groups = {}
+        for a, start, coefs, transposed in targets:
+            groups.setdefault(tuple(coefs), []).append((flats[a], start, transposed))
+        return list(groups.items())
+
+    def write(p, q, values, f_ab, f_ba, groups):
+        """Component (p, q) of the blocks (a, b), values[k] of material k,
+        as each target's signed sum to rows 2a+p, columns 2b+q, or to rows
+        2b+q, columns 2a+p of a transposed target."""
+        buf = np.empty_like(values[0])
+        for coefs, targets in groups:
+            v = _signed_sum(values, coefs, buf)
+            for flat, start, transposed in targets:
+                if transposed:
+                    flat[start + q * nc + p:][f_ba] = v
+                else:
+                    flat[start + p * nc + q:][f_ab] = v
 
     # V and W also write each pair's block, transposed, for the pair (j, i)
-    pair_targets = {tag: targets if tag == "K" else
-                    targets + [(start, s, not tr) for start, s, tr in targets]
-                    for tag, targets in blocks.items()}
+    pair_groups = {tag: by_coefs(targets if tag == "K" else targets + [
+        (a, start, coefs, not tr) for a, start, coefs, tr in targets])
+                   for tag, targets in blocks.items()}
     for i, j in _pair_blocks(grid.size):
-        upper, suite, terms = _upper_pairs(material, grid, tags, columns, i, j)
+        upper, suites, offset_terms = _upper_pairs(materials, grid, tags, columns, i, j)
         f_up, f_low = 2 * (i * nc + j), 2 * (j * nc + i)
         for tag in tags:
             if tag == "K":
@@ -466,17 +503,24 @@ def _assemble(material, grid, shape, blocks) -> np.ndarray:
                 sets = ((upper, f_up, f_low, 1.0), (upper.swapped(), f_low, f_up, -1.0))
             else:
                 sets = ((upper, f_up, f_low, 1.0),)
-            term = terms.pop(tag, None)
+            terms = [material_terms.pop(tag, None) for material_terms in offset_terms]
             for pairs, f_ab, f_ba, side in sets:
-                for p, q, values in pairs.components(tag, suite):
+                # a temporary zip: the generators it leaves unexhausted
+                # (and their coefficient fields) go with it
+                for components in zip(*(pairs.components(material, tag, suite)
+                                        for material, suite in zip(materials, suites))):
+                    p, q, _ = components[0]
+                    values = [v for _, _, v in components]
                     coef = side * _OFFSET_TERM_PATTERN[tag][p, q]
                     if coef:
-                        re = values.real
-                        re += term if coef > 0 else -term
-                    write(p, q, values, f_ab, f_ba, pair_targets[tag])
+                        for v, term in zip(values, terms):
+                            re = v.real
+                            re += term if coef > 0 else -term
+                    write(p, q, values, f_ab, f_ba, pair_groups[tag])
     f_diag = 2 * (nc + 1) * np.arange(grid.size)
     for tag in tags:
+        groups = by_coefs(blocks[tag])
         for p in range(2):
             for q in range(2):
-                write(p, q, diagonals[tag][p, q], f_diag, f_diag, blocks[tag])
-    return out
+                write(p, q, [d[tag][p, q] for d in diagonals], f_diag, f_diag, groups)
+    return outs

@@ -170,8 +170,8 @@ def point_source(material: Material, x0, q) -> IncidentField:
             raise ValueError("point source evaluated at its own location")
         if nu is not None:
             nu = np.asarray(nu, dtype=float).reshape(-1, 2).T
-        pairs = _Pairs(law, x0[:, None], None, xs, nu)
-        ker = pairs.kernel(tag, radial_suite(material, pairs.r))
+        pairs = _Pairs(x0[:, None], None, xs, nu)
+        ker = pairs.kernel(law, tag, radial_suite(material, pairs.r))
         return np.einsum("pqi,p->iq", ker, q).reshape(x.shape)
 
     return IncidentField(u=lambda x: cauchy(x, None, material, "V"),

@@ -79,10 +79,10 @@ def eval_potential(representation, points, region: str = "exterior") -> np.ndarr
                               "boundary; plain trapezoid quadrature degrades",
                               stacklevel=2)
             # Off the surface there is no row normal; only W would read one.
-            pairs = _Pairs(term.material, points.T[:, :, None], None,
+            pairs = _Pairs(points.T[:, :, None], None,
                            grid.x.T[:, None, :], grid.nu.T[:, None, :])
             suite = radial_suite(term.material, pairs.r)
-            kernels[key] = {t: pairs.kernel(t, suite)
+            kernels[key] = {t: pairs.kernel(term.material, t, suite)
                             for t in {t for t, k in zip(tags, keys) if k == key}}
         ker = kernels[key][tag]  # (2, 2, M, N)
         w = np.pi / grid.n

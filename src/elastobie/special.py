@@ -53,20 +53,22 @@ def _quarter_i_hankel(j, y):
     return out
 
 
-def _family(k: float, r: np.ndarray, basis: str, second: bool):
+def _family(k: float, w: np.ndarray, j0: np.ndarray, j1: np.ndarray,
+            basis: str, second: bool):
     """The pairs (F0, F1), (dF0, dF1) and, if `second`, (d2F0, d2F1), with
-    F0 = c0(kr) and F1 = c1(kr)/(kr), for one wavenumber at distances r > 0.
+    F0 = c0(w) and F1 = c1(w)/w, for one wavenumber k at w = k r > 0, from
+    j0 = J0(w) and j1 = J1(w).
 
     In the "log" basis c1/w, h2 = -3 c0/w^2 + 6 c1/w^3 and dF1 = -(k w/3) h2
     have finite w -> 0 limits that cancellation spoils: series for w <= 0.5.
+    The Hankel basis keeps the direct formulas at every w.
     """
-    w = k * r
     if basis == "hankel":
-        c0 = _quarter_i_hankel(bessel_j0(w), bessel_y0(w))
-        c1 = _quarter_i_hankel(bessel_j1(w), bessel_y1(w))
+        c0 = _quarter_i_hankel(j0, bessel_y0(w))
+        c1 = _quarter_i_hankel(j1, bessel_y1(w))
     elif basis == "log":
-        c0 = _LOG_SCALE * bessel_j0(w)
-        c1 = _LOG_SCALE * bessel_j1(w)
+        c0 = _LOG_SCALE * j0
+        c1 = _LOG_SCALE * j1
     else:
         raise ValueError(f"unknown basis {basis!r}")
     c1_over_w = c1 / w
@@ -91,7 +93,7 @@ def _family(k: float, r: np.ndarray, basis: str, second: bool):
     return pairs
 
 
-def radial_suite(material, r, basis: str = "hankel", second: bool = False) -> RadialSuite:
+def radial_suite(material, r, basis="hankel", second: bool = False):
     """Evaluate Phi1, Phi2 (and radial derivatives) at distances r > 0.
 
     With w2 = omega^2, kp, ks the wavenumbers:
@@ -102,12 +104,20 @@ def radial_suite(material, r, basis: str = "hankel", second: bool = False) -> Ra
              = (kp^2 (F0_p - 2 F1_p) - ks^2 (F0_s - 2 F1_s)) / w2
 
     and derivatives follow by linearity from the F-family derivatives.
+    `basis` is "hankel", "log" or a tuple of them; a tuple gives the tuple of
+    their suites, which share one J0 and J1 evaluation per wavenumber.
     """
     r = np.asarray(r, dtype=float)
     kp2, ks2, w2 = material.kp**2, material.ks**2, material.omega**2
-    out = []
-    for (p0, p1), (s0, s1) in zip(_family(material.kp, r, basis, second),
-                                  _family(material.ks, r, basis, second)):
-        out.append((ks2 * (s0 - s1) + kp2 * p1) / w2)
-        out.append((kp2 * (p0 - 2.0 * p1) - ks2 * (s0 - 2.0 * s1)) / w2)
-    return RadialSuite(*out)
+    waves = []  # (k, w = k r, J0(w), J1(w)) of each wavenumber
+    for k in (material.kp, material.ks):
+        w = k * r
+        waves.append((k, w, bessel_j0(w), bessel_j1(w)))
+    suites = []
+    for b in ((basis,) if isinstance(basis, str) else basis):
+        out = []
+        for (p0, p1), (s0, s1) in zip(*(_family(*wave, b, second) for wave in waves)):
+            out.append((ks2 * (s0 - s1) + kp2 * p1) / w2)
+            out.append((kp2 * (p0 - 2.0 * p1) - ks2 * (s0 - 2.0 * s1)) / w2)
+        suites.append(RadialSuite(*out))
+    return suites[0] if isinstance(basis, str) else tuple(suites)

@@ -161,13 +161,34 @@ def test_one_material_systems_equal_their_formulas_in_their_own_memory():
         assert A.flags.owndata and A.flags.c_contiguous, kind
 
 
+def test_kr_and_sc_assembly_keep_to_their_system():
+    # The transmission-starfish preset's KR cell at omega = 10, n = 128: one
+    # pass over the node pairs writes C- - C+ (or C+ + C-) straight into the
+    # 16 MiB system, plus at most 5.5 MiB (20.0 MiB measured, against
+    # 34.9 MiB when C+ and C- were built as two matrices and combined).
+    mp = make_material(lam=1.0, mu=1.0, omega=10.0)
+    mm = make_material(lam=2.0, mu=8.0, omega=10.0)
+    grid = sample_grid(make_curve("starfish"), 128)
+    inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
+    for kind in ("KR", "SC"):
+        tracemalloc.start()
+        try:
+            system = assemble_transmission(kind, mp, mm, grid, incident=inc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert system.operator.matrix.nbytes == 16 * 2**20
+        assert peak <= 16 * 2**20 + 5.5 * 2**20, (kind, peak / 2**20)
+
+
 def test_icfier_assembly_keeps_to_its_two_calderon_matrices():
     # The transmission-starfish preset's ICFIER cell at omega = 10, n = 128:
-    # C+ and C- (16 MiB each) plus at most 7.5 MiB.  S R is formed in S's
-    # memory; the second Calderon build sets the peak (38.2 MiB measured
-    # with the pairs evaluated in row blocks, against 45.3 MiB when all
-    # pairs were evaluated at once and 66.2 MiB when S @ R also made a
-    # conjugate-transposed copy of S and a second array for its result).
+    # C+ + C- and C- (16 MiB each), written in one pass over the node pairs,
+    # plus at most 7.5 MiB.  S R is formed in S's memory (38.2 MiB
+    # measured, as when C+ and C- were built one after the other; 45.3 MiB
+    # when all pairs were evaluated at once and 66.2 MiB when S @ R also
+    # made a conjugate-transposed copy of S and a second array for its
+    # result).
     mp = make_material(lam=1.0, mu=1.0, omega=10.0)
     mm = make_material(lam=2.0, mu=8.0, omega=10.0)
     grid = sample_grid(make_curve("starfish"), 128)

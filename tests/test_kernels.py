@@ -8,12 +8,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import hankel1
+from scipy.special import hankel1, j0, j1
 
-from elastobie import kernel_split, kernels, make_curve, make_material, sample_grid
+from elastobie import (assemble_transmission, kernel_split, kernels, make_curve,
+                       make_material, plane_wave, sample_grid, trace_and_traction)
 from elastobie.formulations import boundary_operators, calderon_matrix
 from elastobie.kernels import TAGS, _LIMIT_WEIGHTS, _STEPS, _c_hs, _c_pv
-from elastobie.quadrature import assemble_bio, build_quadrature
+from elastobie.multipliers import make_transmission_regularizer
+from elastobie.quadrature import assemble_bio, build_quadrature, flatten_density
 from elastobie.special import _family, radial_suite
 
 
@@ -57,11 +59,16 @@ def test_single_layer_split_reassembles_fundamental_solution(
     assert np.abs(full[:, :, off] - phi.transpose(1, 2, 0)).max() < 1e-12
 
 
+def _family_at(k, w, basis, second):
+    """The F family of `basis` for the wavenumber k at w."""
+    return _family(k, w, j0(w), j1(w), basis, second)
+
+
 def test_hankel_family_matches_amos_hankel():
     # The Cephes J + i Y evaluation against scipy's AMOS hankel1.
     for k in (0.5, 3.0, 40.0):
         w = np.geomspace(1e-6, 400.0, 4001)
-        (F0, F1), _ = _family(k, w / k, "hankel", False)
+        (F0, F1), _ = _family_at(k, w, "hankel", False)
         h0, h1 = 0.25j * hankel1(0, w), 0.25j * hankel1(1, w)
         assert (np.abs(F0 - h0) / np.abs(h0)).max() <= 1e-13
         assert (np.abs(F1 * w - h1) / np.abs(h1)).max() <= 1e-13
@@ -70,20 +77,34 @@ def test_hankel_family_matches_amos_hankel():
 def test_log_family_is_continuous_across_the_series_switch():
     # c1/w = F1 and h2 = d2F1/k^2 + F1 on the floats either side of w = 0.5,
     # where the log basis switches from its series to the direct formulas.
-    for k in (1.0, 4.0):  # powers of two, so that k (w / k) == w
+    for k in (1.0, 4.0):
         w = np.array([0.5, np.nextafter(0.5, 1.0)])
-        assert np.array_equal(k * (w / k), w)
-        (_, F1), _, (_, d2F1) = _family(k, w / k, "log", True)
+        (_, F1), _, (_, d2F1) = _family_at(k, w, "log", True)
         h2 = d2F1 / k**2 + F1
         for v in (F1, h2):
             assert abs(v[1] - v[0]) <= 1e-12 * abs(v[0]), (k, v)
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_suites_of_both_bases_equal_their_separate_evaluations(mat28, second):
+    # Both bases from one J0 and J1 evaluation per wavenumber, in either
+    # order, against each basis on its own, at w = k r below and above the
+    # log basis's switch to its series at w = 0.5 for both wavenumbers.
+    r = np.geomspace(1e-3, 4.0, 301) / mat28.kp
+    for k in (mat28.kp, mat28.ks):
+        assert (k * r < 0.5).any() and (k * r > 0.5).any()
+    alone = {basis: radial_suite(mat28, r, basis, second) for basis in ("log", "hankel")}
+    for bases in (("log", "hankel"), ("hankel", "log")):
+        for basis, suite in zip(bases, radial_suite(mat28, r, bases, second)):
+            for got, want in zip(suite, alone[basis]):
+                assert np.array_equal(got, want), basis  # None for d2 if not second
 
 
 def test_log_family_first_derivative_of_F1_keeps_its_digits_near_zero():
     # dF1/k = d/dw [c1(w)/w] with c1 = -J1/(2 pi), against its term-by-term
     # series sum_{m>=1} (-1)^m m q^(m-1) (w/2) / (2 m! (m+1)!), q = (w/2)^2.
     w = np.array([1e-3, 4e-3, 1.6e-2, 0.1])
-    _, (_, dF1) = _family(1.0, w, "log", False)
+    _, (_, dF1) = _family_at(1.0, w, "log", False)
     q = (0.5 * w) ** 2
     ref = sum((-1.0) ** m * m * q ** (m - 1) * (0.5 * w)
               / (2.0 * math.factorial(m) * math.factorial(m + 1))
@@ -202,10 +223,10 @@ def test_split_evaluates_each_unordered_pair_once(starfish32, mat28, monkeypatch
     monkeypatch.setattr("elastobie.kernels.radial_suite", counting_suite)
     boundary_operators(mat28, starfish32, TAGS)
     N = starfish32.size
-    # The operators' assembly evaluates both bases on the N(N-1)/2 pairs
-    # i < j, a block of pairs at a time, and at 7 extrapolation steps at +-h
-    # for each of the N diagonal entries.
-    assert sum(points) == 2 * (N * (N - 1) // 2) + 2 * (2 * 7 * N)
+    # The operators' assembly evaluates both bases in one call on the
+    # N(N-1)/2 pairs i < j, a block of pairs at a time, and at 7
+    # extrapolation steps at +-h for each of the N diagonal entries.
+    assert sum(points) == N * (N - 1) // 2 + 2 * 7 * N
     assert max(points) <= max(kernels._PAIR_BLOCK, 2 * 7 * N)
 
 
@@ -214,20 +235,51 @@ def test_split_evaluates_each_unordered_pair_once(starfish32, mat28, monkeypatch
 def test_assembly_is_the_same_for_every_pair_block(curve, n, monkeypatch):
     # Blocks of less than one row (row 0 holds N - 1 pairs, so blocks start
     # and end inside rows), the default, and one block of all pairs: every
-    # entry is computed elementwise, so the operators agree to the bit.
+    # entry is computed elementwise, so the operators agree to the bit.  At
+    # n = 64 each transmission system, whose one pass over the pairs
+    # evaluates both materials, equals its formula (and its right-hand side)
+    # from two calderon_matrix calls to the bit as well.
     material = make_material(2.0, 1.0, 20.0)
     grid = sample_grid(make_curve(curve), n)
     N = grid.size
-    builds = [lambda: [calderon_matrix(material, grid)]] + [
-        lambda tags=tags: list(boundary_operators(material, grid, tags).values())
+    builds = [(lambda: [calderon_matrix(material, grid)], None)] + [
+        (lambda tags=tags: list(boundary_operators(material, grid, tags).values()), None)
         for k in (1, 2, 3) for tags in itertools.combinations(TAGS, k)]
+    if n == 64:
+        builds += _transmission_builds(grid, make_material(1.0, 1.0, 20.0), material)
     default = kernels._PAIR_BLOCK
-    for build in builds:
-        monkeypatch.setattr(kernels, "_PAIR_BLOCK", default)
-        want = build()
-        for block in (N - 3, N * (N - 1) // 2):
+    for build, want in builds:
+        blocks = (N - 3, N * (N - 1) // 2)
+        if want is None:
+            monkeypatch.setattr(kernels, "_PAIR_BLOCK", default)
+            want = build()
+        else:
+            blocks += (default,)
+        for block in blocks:
             monkeypatch.setattr(kernels, "_PAIR_BLOCK", block)
-            assert all(np.array_equal(a, b) for a, b in zip(build(), want)), block
+            got = build()
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), block
+
+
+def _transmission_builds(grid, mp, mm):
+    """(build, want) of each transmission system: the system's matrix and
+    right-hand side, and the same from its formula on C+ and C-."""
+    inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
+    cd = trace_and_traction(inc, grid, mp)
+    b0 = np.concatenate([flatten_density(cd.trace), flatten_density(cd.traction)])
+    Cp, Cm = calderon_matrix(mp, grid), calderon_matrix(mm, grid)
+    eye = np.eye(len(Cp))
+    reg = make_transmission_regularizer(mp, mm, n_max=grid.n)
+    formulas = {"SC": (-(Cp + Cm), b0),
+                "KR": (Cm - Cp + eye, b0),
+                "DCFIER": (Cm - reg.RT @ (Cp + Cm) + 0.5 * eye, reg.RT @ b0),
+                "ICFIER": ((Cp + Cm) @ reg.R - Cm + 0.5 * eye, -b0)}
+
+    def build(kind):
+        system = assemble_transmission(kind, mp, mm, grid, incident=inc)
+        return [system.operator.matrix, system.rhs]
+    return [(lambda kind=kind: build(kind), list(want)) for kind, want in formulas.items()]
 
 
 @pytest.mark.parametrize("curve", ["circle", "starfish", "cavity"])
