@@ -42,6 +42,12 @@ projector onto the Cauchy data (g, P_s g) of side s, and (a, b) = (a, P_s a)
 lies in its range, so D ~ (I, P_s) R_s and B ~ (P_s + Upsilon_s) R_s =
 (P_s - P_-s) R_s = I.  A map keeps D and the LU factors of B, and takes
 lambda_s to the Cauchy data D B^{-1} lambda_s.
+
+D is formed in one spectral pass.  One pass over the node pairs writes the
+column halves of 1/2 I + s C, s [K; W] and s [-V; -K^T] plus 1/2 on their
+diagonals, as two arrays; both are transformed over the nodes row by row,
+mixed per mode with the stacked symbol (R_s; -Upsilon_out R_s) into the
+first, which is transformed back and is D.  C is never formed.
 """
 
 from __future__ import annotations
@@ -53,8 +59,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import solve_triangular
 
-from .formulations import (LinearSystem, _green_terms,
-                           _incident_cauchy_data, calderon_matrix)
+from .formulations import (LinearSystem, _calderon_targets, _green_terms,
+                           _incident_cauchy_data)
+from .kernels import _assemble
 from .materials import Material
 from .multipliers import Symbol, _matmul_in_place, transmission_operators
 from .quadrature import flatten_density
@@ -108,19 +115,24 @@ def _lu_inverse(AT: np.ndarray) -> Callable:
     return solve
 
 
-def _rtr_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol) -> RtRMap:
-    """RtR map of the subdomain on `side` (+1 exterior, -1 interior) with
-    Calderon matrix C: lambda -> D B^-1 lambda (see the module docstring).
-    C is overwritten by 1/2 I + side C, and then by its column halves'
-    products with R and with Upsilon_out R."""
-    L = C.shape[0] // 2  # 4n: one interleaved density on the 2n nodes
+def _rtr_map(material: Material, grid, side: int, ups: Symbol,
+             ups_out: Symbol) -> RtRMap:
+    """RtR map of the subdomain of `material` on `side` (+1 exterior, -1
+    interior): lambda -> D B^-1 lambda (see the module docstring).  D is
+    formed in the left column half of 1/2 I + side C; the right half is
+    dropped once mixed in."""
+    L = 2 * grid.size  # 4n: one interleaved density on the 2n nodes
     R = (ups - ups_out).inv()
-    C *= side
-    C[np.diag_indices_from(C)] += 0.5
-    # Cauchy data per phi, from the products in C's own column halves
-    D = (_matmul_in_place(C[:, :L], R)
-         - _matmul_in_place(C[:, L:], ups_out @ R))
-    del C  # freed here unless the caller holds it
+    # side C's column halves; the coefficient -1 negates exactly
+    D, right = _assemble((material,), grid, [(2 * L, L)] * 2,
+                         _calderon_targets(grid, (side,), (0, 1)))
+    diag = np.diag_indices(L)
+    D[:L][diag] += 0.5
+    right[L:][diag] += 0.5
+    stacked = Symbol(R.n_max, np.concatenate(
+        [R.values, -(ups_out @ R).values], axis=1))  # (R; -Upsilon_out R)
+    _matmul_in_place((D, right), stacked)
+    del right  # freed before B is allocated
     B = ups @ D[:L]
     B += D[L:]
     solve = _lu_inverse(B.T)
@@ -130,13 +142,13 @@ def _rtr_map(C: np.ndarray, side: int, ups: Symbol, ups_out: Symbol) -> RtRMap:
 def rtr_interior(mat_minus: Material, grid, ups_plus: Symbol,
                  ups_minus: Symbol) -> RtRMap:
     """Interior RtR map S_-: lambda_- -> T u- + Upsilon_+ gamma u-."""
-    return _rtr_map(calderon_matrix(mat_minus, grid), -1, ups_minus, ups_plus)
+    return _rtr_map(mat_minus, grid, -1, ups_minus, ups_plus)
 
 
 def rtr_exterior(mat_plus: Material, grid, ups_plus: Symbol,
                  ups_minus: Symbol) -> RtRMap:
     """Exterior RtR map S_+: lambda_+ -> T u+ + Upsilon_- gamma u+."""
-    return _rtr_map(calderon_matrix(mat_plus, grid), +1, ups_plus, ups_minus)
+    return _rtr_map(mat_plus, grid, +1, ups_plus, ups_minus)
 
 
 def assemble_ddm(mat_plus: Material, mat_minus: Material, grid,

@@ -137,23 +137,27 @@ def boundary_operators(material: Material, grid, tags=TAGS) -> dict:
     return dict(zip(tags, ops))
 
 
-def _calderon_targets(grid, a, coefs) -> dict:
-    """The kernels._assemble targets that write sum_k coefs[k] C_k into its
-    array a, C_k = [[K, -V], [W, -K^T]] of material k: -V and -K^T take the
-    negated coefficients, -K^T written as K's transpose."""
+def _calderon_targets(grid, coefs, arrays=(0, 0)) -> dict:
+    """The kernels._assemble targets that write sum_k coefs[k] C_k,
+    C_k = [[K, -V], [W, -K^T]] of material k: -V and -K^T take the negated
+    coefficients, -K^T written as K's transpose.  arrays names the array of
+    the left column half [K; W] and that of the right one [-V; -K^T]: the
+    same 8n x 8n array for the whole sum, or two 8n x 4n arrays."""
     size = 2 * grid.size
-    lower = 2 * size * size  # flat index of the first row of W and -K^T
+    left, right = arrays
+    nc, col = (2 * size, size) if left == right else (size, 0)
+    lower = size * nc  # flat index of the first row of W and -K^T
     neg = tuple(-c for c in coefs)
-    return {"K": [(a, 0, coefs, False), (a, lower + size, neg, True)],
-            "V": [(a, size, neg, False)],
-            "W": [(a, lower, coefs, False)]}
+    return {"K": [(left, 0, coefs, False), (right, lower + col, neg, True)],
+            "V": [(right, col, neg, False)],
+            "W": [(left, lower, coefs, False)]}
 
 
 def calderon_matrix(material: Material, grid) -> np.ndarray:
     """Dense 8n x 8n Calderon block operator C = [[K, -V], [W, -K^T]],
     each block written in place; -K^T is K's negated transpose."""
     (C,) = _assemble((material,), grid, [(4 * grid.size,) * 2],
-                     _calderon_targets(grid, 0, (1,)))
+                     _calderon_targets(grid, (1,)))
     return C
 
 
@@ -277,16 +281,16 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
         # RHS carries no factor 2: applying (I + C- - C+) to the interior
         # Cauchy data and using the Calderon identities yields exactly the
         # incident Cauchy data (verified against the SC solve).
-        (A,) = _assemble(mats, grid, [shape], _calderon_targets(grid, 0, (-1, 1)))
+        (A,) = _assemble(mats, grid, [shape], _calderon_targets(grid, (-1, 1)))
         A[diag] += 1.0
     elif kind == "SC":
         # -(C+ + C-), negated after the sum: coefficients (-1, -1) would give
         # an exact zero of the sum the other sign
-        (A,) = _assemble(mats, grid, [shape], _calderon_targets(grid, 0, (1, 1)))
+        (A,) = _assemble(mats, grid, [shape], _calderon_targets(grid, (1, 1)))
         np.negative(A, out=A)
     else:
-        S_targets = _calderon_targets(grid, 0, (1, 1))  # C+ + C-
-        Cm_targets = _calderon_targets(grid, 1, (0, 1))
+        S_targets = _calderon_targets(grid, (1, 1))  # C+ + C-
+        Cm_targets = _calderon_targets(grid, (0, 1), (1, 1))
         S, Cm = _assemble(mats, grid, [shape, shape],
                           {tag: S_targets[tag] + Cm_targets[tag] for tag in TAGS})
         # kappa=None complexifies each material's Calderon symbol with

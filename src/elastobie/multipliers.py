@@ -24,8 +24,9 @@ is A times it, without forming it.  Rows are laid out as in the systems: a
 rows).  Both products are FFTs over the nodes, on the columns of x or the
 rows of A (vectors or matrices), with no conjugate and no transpose.  `@`
 copies its array operand once and computes in the copy (_matmul_in_place);
-the regularized Dirichlet, Neumann and transmission assemblers and the
-Schwarz subdomain maps call _matmul_in_place on the operators they own.
+the regularized Dirichlet, Neumann and transmission assemblers call
+_matmul_in_place on the operators they own, and the Schwarz subdomain maps
+on the two column halves of 1/2 I +- C at once.
 A dense multiplier (symbol_matrix) follows the one rule of the quadrature
 module: component (a, b) is the circulant of ifft(M(k)[a, b]) at the grid
 modes.  Compose per mode (sym @ sym2) and realize the result once.
@@ -162,44 +163,77 @@ def apply_multiplier(symbol: Symbol, x: np.ndarray) -> np.ndarray:
     return _matmul_in_place(symbol, np.array(x, dtype=complex))
 
 
+# Entries of each component per mixing block, so that a block's components
+# are mixed while they stay in cache.  Fixed by timing ICFIER's S R, a
+# Schwarz map's D and the Neumann CFIER's W R^N at n = 128 and 256 for
+# blocks of 2^11 to 2^18 entries (one BLAS thread, 2-vCPU Xeon): 2^12 to
+# 2^14 were fastest at n = 128 (S R 26-27 ms against 30-37 ms from 2^15
+# up), 2^13 at n = 256 (S R 101 ms against 109-156 ms).
+_MIX_BLOCK = 2**13
+
+
 def _matmul_in_place(a, b) -> np.ndarray:
     """a @ b for one Symbol and one complex array, written into the array's
     memory, which is returned: M x on the columns of x (b = x), or A M on
-    the rows of A (a = A).  A may be a view such as a column block.
+    the rows of A (a = A).  A may be a view such as a column block, or a
+    tuple (A_1, ..., A_m) of arrays of one shape, the column blocks of
+    [A_1, ..., A_m], with M stacked from m d x d blocks (md x d per mode):
+    then [A_1, ..., A_m] M is written into A_1.
 
     The array is viewed as lanes (vectors, d/2, N, 2) of nodal 2-vectors.
-    Each lane is transformed over the nodes, its d components are mixed one
-    mode at a time (lane @ G(k)), and it is transformed back: rows take
-    ifft, G = M and fft, since (A M)[r] = fft(ifft(A[r]) M(k)); columns take
-    fft, G = M^T and ifft, since M x = ifft(M(k) fft(x)).  Both read M(k)
-    at the grid's modes, the Nyquist mode included, as symbol_matrix does.
-    The mixing runs on eighths of the modes, or on 2^16 entries if that is
-    more, so it needs max(1/4 of the array, 2 MiB) more memory.
+    Each lane is transformed over the nodes, its components are mixed per
+    mode (sums of a component times an entry of G(k)), and the result is
+    transformed back: rows take ifft, G = M and fft, since
+    (A M)[r] = fft(ifft(A[r]) M(k)); columns take fft, G = M^T and ifft,
+    since M x = ifft(M(k) fft(x)).  Both read M(k) at the grid's modes, the
+    Nyquist mode included, as symbol_matrix does.  The mixing needs
+    d + 1 blocks of _MIX_BLOCK complex entries more memory (640 KiB for
+    d = 4), or d + 1 rows of a component where one row is longer.
     """
     rows = isinstance(b, Symbol)
     symbol, x = (b, a) if rows else (a, b)
-    d = symbol.values.shape[-1]
-    length = x.shape[-1] if rows else len(x)
+    arrays = x if rows and isinstance(x, tuple) else (x,)
+    P, d = symbol.values.shape[1:]
+    if P != d * len(arrays) or {y.shape for y in arrays} != {arrays[0].shape}:
+        raise ValueError(f"a {P} x {d} symbol does not act on {len(arrays)} "
+                         "array(s) of one shape")
+    length = arrays[0].shape[-1] if rows else len(x)
     N, rest = divmod(length, d)
     if rest or N == 0:
         raise ValueError(f"length {length} does not hold {d} values per node")
     G = _on_grid(symbol, N)
     if rows:
-        lanes = np.reshape(x, (-1, d // 2, N, 2), copy=False)
-        first, last = np.fft.ifft, np.fft.fft
+        lanes = [np.reshape(y, (-1, d // 2, N, 2), copy=False) for y in arrays]
+        parts = [lane[:, b, :, c] for lane in lanes
+                 for b in range(d // 2) for c in range(2)]
+        first, last, axis, G = np.fft.ifft, np.fft.fft, 2, G[None]
     else:
-        lanes = np.reshape(x, (d // 2, N, 2, -1), copy=False).transpose(3, 0, 1, 2)
-        first, last, G = np.fft.fft, np.fft.ifft, G.swapaxes(1, 2)
-    first(lanes, axis=2, out=lanes)
-    count = len(lanes)
-    step = max(-(-N // 8), 2**16 // max(count * d, 1))
-    for k in range(0, N, step):
-        block = lanes[:, :, k:k + step]
-        c = block.shape[2]
-        mixed = block.transpose(2, 0, 1, 3).reshape(c, count, d) @ G[k:k + step]
-        block[...] = mixed.reshape(c, count, d // 2, 2).transpose(1, 2, 0, 3)
-    last(lanes, axis=2, out=lanes)
-    return x
+        lanes = [np.reshape(x, (d // 2, N, 2, -1), copy=False)]
+        parts = [lanes[0][b, :, c] for b in range(d // 2) for c in range(2)]
+        first, last, axis = np.fft.fft, np.fft.ifft, 1
+        G = G.swapaxes(1, 2)[:, None]
+    for lane in lanes:
+        first(lane, axis=axis, out=lane)
+    # parts[q] = sum_p parts[p] G[p, q], in blocks of about _MIX_BLOCK
+    # entries along the parts' first axis, each mixed into d temporaries
+    # and written back before the next.  G's entries (p, q) come first, as
+    # a contiguous copy, so that each factor G[p, q] is read at unit stride.
+    m, n = parts[0].shape
+    G = np.broadcast_to(np.moveaxis(G, (-2, -1), (0, 1)).copy(), (P, d, m, n))
+    step = max(1, _MIX_BLOCK // max(n, 1))
+    for s in range(0, m, step):
+        block, g = [y[s:s + step] for y in parts], G[:, :, s:s + step]
+        term = np.empty(block[0].shape, dtype=complex)
+        mixed = []
+        for q in range(d):
+            acc = block[0] * g[0, q]
+            for p in range(1, P):
+                acc += np.multiply(block[p], g[p, q], out=term)
+            mixed.append(acc)
+        for y, v in zip(block, mixed):
+            y[...] = v
+    last(lanes[0], axis=axis, out=lanes[0])
+    return arrays[0]
 
 
 def symbol_matrix(symbol: Symbol, n: int) -> np.ndarray:

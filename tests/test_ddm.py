@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from elastobie import (assemble_ddm, assemble_transmission, eps_inf,
+from elastobie import (assemble_ddm, assemble_transmission, ddm, eps_inf,
                        far_field, gmres, lu_solve, make_curve, make_material,
                        plane_wave, point_source, reconstruct_fields,
                        sample_grid, trace_and_traction)
 from elastobie.ddm import rtr_exterior, rtr_interior
+from elastobie.formulations import calderon_matrix
 from elastobie.multipliers import transmission_operators
 from elastobie.quadrature import flatten_density
 
@@ -74,6 +75,42 @@ def test_subdomain_equations_match_the_block_construction(
         err = np.linalg.norm(system - B) / np.linalg.norm(B)
         assert err <= 1e-13, (side, err)
         assert np.shares_memory(lu, a)  # factored in place, no copy
+
+
+@pytest.mark.parametrize("side", [+1, -1], ids=["exterior", "interior"])
+@pytest.mark.parametrize("curve", ["circle", "starfish", "cavity"])
+def test_subdomain_maps_start_from_the_calderon_column_halves(
+        mats, curve, side, dense_subdomain_equation, monkeypatch):
+    # A map's one spectral pass reads the column halves of 1/2 I + side C,
+    # written by the node-pair pass to the bits of calderon_matrix, and
+    # returns D; B is read as it is handed to lu_factor.
+    grid = sample_grid(make_curve(curve), 24)
+    Up, Um = transmission_operators(*mats, mats[1].kappa, n_max=grid.n)
+    mat, _, ups, ups_out, build = _sides(mats, Up, Um)[0 if side > 0 else 1]
+    matmul, lu_factor = ddm._matmul_in_place, scipy.linalg.lu_factor
+    halves, passes, systems = [], [], []
+
+    def recording_matmul(a, b):
+        halves.append(tuple(x.copy() for x in a))
+        passes.append(matmul(a, b))
+        return passes[-1]
+
+    def recording_lu_factor(a, **kwargs):
+        systems.append(a.T.copy())  # B, before it is factored
+        return lu_factor(a, **kwargs)
+
+    monkeypatch.setattr(ddm, "_matmul_in_place", recording_matmul)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recording_lu_factor)
+    build(grid)
+    ((left, right),), (D,), (B,) = halves, passes, systems
+    C = 0.5 * np.eye(4 * grid.size) + side * calderon_matrix(mat, grid)
+    L = 2 * grid.size
+    assert left.flags.c_contiguous and right.flags.c_contiguous
+    assert np.array_equal(left, C[:, :L]) and np.array_equal(right, C[:, L:])
+    want_D, want_B = dense_subdomain_equation(mat, grid, side, ups, ups_out)
+    for got, want in ((D, want_D), (B, want_B)):
+        err = np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert err <= 1e-12, (curve, side, err)
 
 
 @pytest.fixture(scope="module")
@@ -138,9 +175,11 @@ def test_no_schwarz_product_calls_lu_solve(grid, mats, robin, monkeypatch):
 
 def test_subdomain_maps_keep_less_than_their_calderon_matrices(preset_mats):
     # A map keeps D (2L x L) and the LU factors of B (L x L): 12 MiB at
-    # n=128, 3/4 of its 16 MiB Calderon matrix, which it does not keep.
-    # The second Calderon build, next to the first map, sets the assembly's
-    # peak: 36.3 MiB measured with the pairs evaluated in row blocks, against
+    # n=128, 3/4 of the 16 MiB of the Calderon column halves it is formed
+    # from, which it does not keep.  The second map's halves, next to the
+    # first map, set the assembly's peak: 31.2 MiB measured with D formed
+    # in one spectral pass from the halves, against 36.3 MiB when a whole
+    # Calderon matrix was built and its halves multiplied one at a time,
     # 41.3 MiB when all pairs were evaluated at once and 53.1 MiB when each
     # multiplier product also made a conjugate-transposed copy of its column
     # half and a second array for its result.
@@ -162,7 +201,7 @@ def test_subdomain_maps_keep_less_than_their_calderon_matrices(preset_mats):
             del S
     finally:
         tracemalloc.stop()
-    assert peak <= 37.5 * 2**20, peak / 2**20
+    assert peak <= 32 * 2**20, peak / 2**20
 
 
 def test_interior_rtr_against_manufactured_solution(grid, mats, robin):

@@ -184,11 +184,11 @@ def test_kr_and_sc_assembly_keep_to_their_system():
 def test_icfier_assembly_keeps_to_its_two_calderon_matrices():
     # The transmission-starfish preset's ICFIER cell at omega = 10, n = 128:
     # C+ + C- and C- (16 MiB each), written in one pass over the node pairs,
-    # plus at most 7.5 MiB.  S R is formed in S's memory (38.2 MiB
-    # measured, as when C+ and C- were built one after the other; 45.3 MiB
-    # when all pairs were evaluated at once and 66.2 MiB when S @ R also
-    # made a conjugate-transposed copy of S and a second array for its
-    # result).
+    # plus at most 5 MiB.  S R is formed in S's memory (36.0 MiB measured
+    # with S's rows mixed in cache-sized blocks; 38.2 MiB when an eighth of
+    # the modes was mixed at a time, 45.3 MiB when all pairs were evaluated
+    # at once and 66.2 MiB when S @ R also made a conjugate-transposed copy
+    # of S and a second array for its result).
     mp = make_material(lam=1.0, mu=1.0, omega=10.0)
     mm = make_material(lam=2.0, mu=8.0, omega=10.0)
     grid = sample_grid(make_curve("starfish"), 128)
@@ -201,7 +201,7 @@ def test_icfier_assembly_keeps_to_its_two_calderon_matrices():
     finally:
         tracemalloc.stop()
     assert system.operator.matrix.nbytes == calderon_bytes == 16 * 2**20
-    assert peak <= 2 * calderon_bytes + 7.5 * 2**20, peak / 2**20
+    assert peak <= 2 * calderon_bytes + 5 * 2**20, peak / 2**20
 
 
 def test_neumann_assembly_keeps_to_its_three_matrices():

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from elastobie import make_material, make_symbol
+from elastobie import make_material, make_symbol, multipliers
 from elastobie.multipliers import (Symbol, _calderon_symbol,
                                    _matmul_in_place,
                                    make_transmission_regularizer, ps_dtn,
@@ -118,19 +118,27 @@ def _dense(sym, n):
 
 
 @pytest.mark.parametrize("d", [2, 4])
-@pytest.mark.parametrize("form", ["vector", "matrix", "column half"])
+@pytest.mark.parametrize("form", ["vector", "matrix", "column half", "blocks"])
 @pytest.mark.parametrize("rows", [True, False], ids=["A@sym", "sym@x"])
 def test_products_in_place_match_the_dense_multiplier(d, form, rows):
     # A @ sym and sym @ x copy their operand once and leave it unchanged;
     # _matmul_in_place computes the same bits in the operand's own memory,
-    # also on a non-contiguous column half C[:, :size] of a wider C.
+    # also on a non-contiguous column half C[:, :size] of a wider C, and on
+    # enough vectors that the mixing, in blocks of rows of A (or of modes
+    # of x) of _MIX_BLOCK entries per component, takes two whole blocks and
+    # a shorter last one.
     n = 12
     sym = _random_symbol(n + 2, 19 + d, d)
     dense = _dense(sym, n)
     size = dense.shape[0]
     rng = np.random.default_rng(d)
+    count = 2 * (multipliers._MIX_BLOCK // (2 * n)) + 3
+    blocks, width = (count, 2 * n) if rows else (2 * n, count)
+    step = multipliers._MIX_BLOCK // width
+    assert blocks > 2 * step and blocks % step, (blocks, step)
     shape = {"vector": (size,), "matrix": (7, size) if rows else (size, 7),
-             "column half": (size, 2 * size)}[form]
+             "column half": (size, 2 * size),
+             "blocks": (count, size) if rows else (size, count)}[form]
     C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     x = C[:, :size] if form == "column half" else C
     before = C.copy()
@@ -144,6 +152,26 @@ def test_products_in_place_match_the_dense_multiplier(d, form, rows):
     assert np.array_equal(out, got)
     if form == "column half":
         assert np.array_equal(C[:, size:], before[:, size:])
+
+
+def test_stacked_product_mixes_column_blocks_into_the_first():
+    # [A_1, A_2] M for a stacked 4 x 2 symbol, written into A_1, is the
+    # product of the column-stacked matrix with the dense stacked multiplier.
+    n = 12
+    sym = _random_symbol(n + 2, 41, 4)
+    stacked = Symbol(sym.n_max, sym.values[:, :, :2])
+    dense = _dense(sym, n)[:, :4 * n]
+    rng = np.random.default_rng(41)
+    A = rng.standard_normal((9, 8 * n)) + 1j * rng.standard_normal((9, 8 * n))
+    want = A @ dense
+    left, right = A[:, :4 * n].copy(), A[:, 4 * n:].copy()
+    out = _matmul_in_place((left, right), stacked)
+    assert out is left
+    assert np.abs(out - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match="does not act"):
+        _matmul_in_place((left, right[:, 1:]), stacked)
+    with pytest.raises(ValueError, match="does not act"):
+        _matmul_in_place((left,), stacked)
 
 
 def test_products_take_empty_operands_and_reject_off_grid_ones():
