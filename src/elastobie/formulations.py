@@ -25,10 +25,16 @@ Formulations assembled here:
 * transmission DCFIER  (1/2 I + C- - R^T (C+ + C-)) (...) = R^T (rhs of SC)
 * transmission ICFIER  (1/2 I - C- + (C+ + C-) R) (g, phi) = (rhs of SC)
 
-One pass over the node pairs evaluates C+ and C- together and writes each
-transmission system entry once, as the sum of their entries with
-coefficients +-1: KR as C- - C+ plus I on the diagonal, SC as C+ + C-
-negated in place, and DCFIER and ICFIER from C+ + C- and C- as two arrays.
+Each assembler takes one pass over the node pairs (kernels._assemble), which
+writes exactly the arrays the system keeps.  A one-material system is two
+arrays: Dirichlet writes K into the system and V into the other, Neumann
+-K^T (DCFIER: -K) into the system and W into the other; the other's term
+(i eta V, V R^D, i eta W, W R^N or R^N W) is formed in its own memory and
+combined into the system in place.  The transmission pass evaluates C+ and
+C- together and writes each system entry once, as the sum of their entries
+with coefficients +-1: KR as C- - C+ plus I on the diagonal, SC as C+ + C-
+negated in place, and DCFIER and ICFIER from C+ + C- and the blocks of C-
+that are not transposes of others, its left column half [K-; W-] and -V-.
 
 Each assembler returns its system with its representation: `represent` maps
 a solution to the layer potentials of its fields, as in the ansatz above.
@@ -137,20 +143,35 @@ def boundary_operators(material: Material, grid, tags=TAGS) -> dict:
     return dict(zip(tags, ops))
 
 
-def _calderon_targets(grid, coefs, arrays=(0, 0)) -> dict:
+def _calderon_targets(grid, coefs, arrays=(0, 0), adjoint=True) -> dict:
     """The kernels._assemble targets that write sum_k coefs[k] C_k,
     C_k = [[K, -V], [W, -K^T]] of material k: -V and -K^T take the negated
     coefficients, -K^T written as K's transpose.  arrays names the array of
     the left column half [K; W] and that of the right one [-V; -K^T]: the
-    same 8n x 8n array for the whole sum, or two 8n x 4n arrays."""
+    same 8n x 8n array for the whole sum, or two 8n x 4n arrays.  With
+    adjoint=False -K^T is left out and the right array is the 4n x 4n -V
+    alone: -K^T is then read as the transpose of the left array's K."""
     size = 2 * grid.size
     left, right = arrays
     nc, col = (2 * size, size) if left == right else (size, 0)
     lower = size * nc  # flat index of the first row of W and -K^T
     neg = tuple(-c for c in coefs)
-    return {"K": [(left, 0, coefs, False), (right, lower + col, neg, True)],
-            "V": [(right, col, neg, False)],
+    K = [(left, 0, coefs, False)]
+    if adjoint:
+        K.append((right, lower + col, neg, True))
+    return {"K": K, "V": [(right, col, neg, False)],
             "W": [(left, lower, coefs, False)]}
+
+
+def _add_calderon_blocks(A, left, neg_v, sign):
+    """A += sign C blockwise, in place, for C = [[K, -V], [W, -K^T]] held as
+    its left column half [K; W] and -V: -K^T is read as the transpose of
+    the left half's K, so sign -1 adds K^T there and sign +1 subtracts it."""
+    size = len(neg_v)
+    add, sub = (np.add, np.subtract) if sign > 0 else (np.subtract, np.add)
+    add(A[:, :size], left, out=A[:, :size])
+    add(A[:size, size:], neg_v, out=A[:size, size:])
+    sub(A[size:, size:], left[:size].T, out=A[size:, size:])
 
 
 def calderon_matrix(material: Material, grid) -> np.ndarray:
@@ -174,26 +195,29 @@ def assemble_dirichlet(kind: str, material: Material, grid,
     if incident is None:
         raise ValueError("an incident field is required")
     rhs = -flatten_density(incident.u(grid.x))
-    # A is a fresh array: a view of V or K would keep both alive.
-    ops = boundary_operators(material, grid, tags=("V", "K"))
-    V, K = ops["V"], ops["K"]
-    K[np.diag_indices_from(K)] += 0.5
     if kind == "CFIE":
         eta = material.eta_dirichlet if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
+    # One pass over the node pairs writes K into the system A and V into
+    # the one other array the system needs; V's term is formed in V's memory.
+    size = 2 * grid.size
+    V, A = _assemble((material,), grid, [(size, size)] * 2,
+                     {"V": [(0, 0, (1,), False)], "K": [(1, 0, (1,), False)]})
+    if kind == "CFIE":
         V *= 1j * eta
-        A = K - V
 
         def represent(x):  # u = DL phi - i eta SL phi
             return _green_terms(material, grid, x, 1j * eta * x, "exterior")
     else:  # CFIER
         kappa = material.kappa if coupling is None else complex(coupling)
         reg = ps_dtn(material, "exterior", kappa=kappa, n_max=grid.n)
-        A = K - _matmul_in_place(V, reg)
+        _matmul_in_place(V, reg)
 
         def represent(x):  # u = DL phi - SL R^D phi
             return _green_terms(material, grid, x, reg @ x, "exterior")
+    A[np.diag_indices_from(A)] += 0.5
+    A -= V
     return LinearSystem(operator=DenseOperator(A), rhs=rhs, grid=grid,
                         represent=represent, meta={"material": material})
 
@@ -211,9 +235,13 @@ def assemble_neumann(kind: str, material: Material, grid,
         eta = material.eta_neumann if coupling is None else complex(coupling)
         if eta == 0:
             raise ValueError("CFIE coupling eta must be nonzero")
-    ops = boundary_operators(material, grid, tags=("K", "W"))
-    K, W = ops["K"], ops["W"]
-    # W's term is formed in W's memory before A is allocated
+    # One pass over the node pairs writes -K^T (DCFIER: -K) into the system
+    # A and W into the one other array the system needs; W's term is formed
+    # in W's memory.
+    size = 2 * grid.size
+    A, W = _assemble((material,), grid, [(size, size)] * 2,
+                     {"K": [(0, 0, (-1,), kind != "DCFIER")],
+                      "W": [(1, 0, (1,), False)]})
     if kind == "CFIE":
         W *= 1j * eta
 
@@ -235,8 +263,6 @@ def assemble_neumann(kind: str, material: Material, grid,
             def represent(x):  # zero total traction => u_scat = DL g
                 return (PotentialTerm("DL", material, grid,
                                       unflatten_density(x)),)
-    # A is a fresh array: a view of K or W would keep both alive.
-    A = np.negative(K if kind == "DCFIER" else K.T, order="C")
     A[np.diag_indices_from(A)] += 0.5
     A += W
     return LinearSystem(operator=DenseOperator(A), rhs=rhs, grid=grid,
@@ -289,26 +315,31 @@ def assemble_transmission(kind: str, mat_plus: Material, mat_minus: Material,
         (A,) = _assemble(mats, grid, [shape], _calderon_targets(grid, (1, 1)))
         np.negative(A, out=A)
     else:
+        # C- is kept as its left column half [K-; W-] and -V-: -K-^T is
+        # the transpose of K-
+        size = 2 * grid.size
         S_targets = _calderon_targets(grid, (1, 1))  # C+ + C-
-        Cm_targets = _calderon_targets(grid, (0, 1), (1, 1))
-        S, Cm = _assemble(mats, grid, [shape, shape],
-                          {tag: S_targets[tag] + Cm_targets[tag] for tag in TAGS})
+        Cm_targets = _calderon_targets(grid, (0, 1), (1, 2), adjoint=False)
+        A, left, neg_v = _assemble(
+            mats, grid, [shape, (2 * size, size), (size, size)],
+            {tag: S_targets[tag] + Cm_targets[tag] for tag in TAGS})
         # kappa=None complexifies each material's Calderon symbol with
         # its own kappa (the benchmark convention); a complex value is
         # shared.
         reg = make_transmission_regularizer(mat_plus, mat_minus, kappa,
                                             n_max=grid.n)
         if kind == "DCFIER":
-            # 1/2 I + C- - R^T (C+ + C-)
-            A = np.subtract(Cm, _matmul_in_place(reg.RT, S), out=Cm)
+            # 1/2 I + C- - R^T (C+ + C-), formed as -(R^T S) + C-: the same
+            # IEEE sums as C- - R^T S
+            np.negative(_matmul_in_place(reg.RT, A), out=A)
+            _add_calderon_blocks(A, left, neg_v, 1)
             rhs = reg.RT @ b0
         else:
             # 1/2 I - C- + (C+ + C-) R.  The indirect reconstruction's
             # Cauchy-data jumps equal +L_ind (g, phi); matching the
             # physical jumps -(incident data) requires the negated RHS
             # (verified against the direct solves).
-            A = _matmul_in_place(S, reg.R)
-            A -= Cm
+            _add_calderon_blocks(_matmul_in_place(A, reg.R), left, neg_v, -1)
             rhs = -b0
         A[diag] += 0.5
     if kind == "ICFIER":

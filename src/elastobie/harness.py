@@ -42,7 +42,10 @@ other than "wall" or "none", and a worker-thread count (see run_experiment)
 that is not an integer >= 1, naming its source.
 
 Rows are deterministic given a config except for the wall-time column; set
-"timing": "none" to zero it and obtain bit-identical CSV across runs.
+"timing": "none" to zero it and obtain bit-identical CSV across runs and
+worker-thread counts.  Not across BLAS thread counts (OPENBLAS_NUM_THREADS):
+they round the dense products differently, which moves the low digits of
+eps_inf, so compare runs at the same BLAS thread count.
 """
 
 from __future__ import annotations

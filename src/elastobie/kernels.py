@@ -435,8 +435,8 @@ def _signed_sum(values, coefs, out):
 
 
 def _assemble(materials, grid, shapes, blocks) -> list:
-    """The C-ordered complex arrays of `shapes`, all with the same number of
-    columns, that hold the dense operators `blocks` names.
+    """The C-ordered complex arrays of `shapes` that hold the dense operators
+    `blocks` names.
 
     blocks maps each kernel tag to its targets (a, start, coefs,
     transposed): the sum over `materials` of coefs[k] (-1, 0 or 1) times
@@ -454,10 +454,11 @@ def _assemble(materials, grid, shapes, blocks) -> list:
     signed sum once.  The diagonal blocks are each material's
     w M_smooth + 2 pi R M_log + c_hs T from its extrapolated limits, summed
     the same way.  V and W write each pair's block transposed for the pair
-    (j, i).
+    (j, i).  The arrays may differ in width: each block finds the pairs'
+    flat indices once per width.
     """
     tags = tuple(blocks)
-    (nc,) = {shape[-1] for shape in shapes}
+    widths = {shape[-1] for shape in shapes}
     R, T, _ = columns = _weight_columns(grid.n)
     diagonals = []
     for material in materials:
@@ -471,24 +472,26 @@ def _assemble(materials, grid, shapes, blocks) -> list:
     flats = [out.reshape(-1) for out in outs]
 
     def by_coefs(targets):
-        """The targets as (coefs, [(flat array, start, transposed), ...])."""
+        """The targets as (coefs, [(flat array, width, start, transposed), ...])."""
         groups = {}
         for a, start, coefs, transposed in targets:
-            groups.setdefault(tuple(coefs), []).append((flats[a], start, transposed))
+            groups.setdefault(tuple(coefs), []).append(
+                (flats[a], shapes[a][-1], start, transposed))
         return list(groups.items())
 
     def write(p, q, values, f_ab, f_ba, groups):
         """Component (p, q) of the blocks (a, b), values[k] of material k,
         as each target's signed sum to rows 2a+p, columns 2b+q, or to rows
-        2b+q, columns 2a+p of a transposed target."""
+        2b+q, columns 2a+p of a transposed target; f_ab and f_ba map an
+        array width to the flat indices of the blocks (a, b) and (b, a)."""
         buf = np.empty_like(values[0])
         for coefs, targets in groups:
             v = _signed_sum(values, coefs, buf)
-            for flat, start, transposed in targets:
+            for flat, nc, start, transposed in targets:
                 if transposed:
-                    flat[start + q * nc + p:][f_ba] = v
+                    flat[start + q * nc + p:][f_ba[nc]] = v
                 else:
-                    flat[start + p * nc + q:][f_ab] = v
+                    flat[start + p * nc + q:][f_ab[nc]] = v
 
     # V and W also write each pair's block, transposed, for the pair (j, i)
     pair_groups = {tag: by_coefs(targets if tag == "K" else targets + [
@@ -496,7 +499,8 @@ def _assemble(materials, grid, shapes, blocks) -> list:
                    for tag, targets in blocks.items()}
     for i, j in _pair_blocks(grid.size):
         upper, suites, offset_terms = _upper_pairs(materials, grid, tags, columns, i, j)
-        f_up, f_low = 2 * (i * nc + j), 2 * (j * nc + i)
+        f_up = {nc: 2 * (i * nc + j) for nc in widths}
+        f_low = {nc: 2 * (j * nc + i) for nc in widths}
         for tag in tags:
             if tag == "K":
                 # the swapped pairs' cot and pv terms change sign
@@ -517,7 +521,7 @@ def _assemble(materials, grid, shapes, blocks) -> list:
                             re = v.real
                             re += term if coef > 0 else -term
                     write(p, q, values, f_ab, f_ba, pair_groups[tag])
-    f_diag = 2 * (nc + 1) * np.arange(grid.size)
+    f_diag = {nc: 2 * (nc + 1) * np.arange(grid.size) for nc in widths}
     for tag in tags:
         groups = by_coefs(blocks[tag])
         for p in range(2):

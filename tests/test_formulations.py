@@ -4,7 +4,7 @@ Oracle: if the "incident" field radiates from a point source placed INSIDE
 the obstacle, the exterior scattered field equals minus that source field
 everywhere outside (uniqueness), so every formulation must reproduce the
 analytic point-source far field.  Besides: the one-material systems against
-their formulas, and the memory the ICFIER assembly takes.
+their formulas, and the memory each assembly takes.
 """
 
 import tracemalloc
@@ -140,7 +140,7 @@ def test_one_material_systems_equal_their_formulas_in_their_own_memory():
     # The documented systems with a dense 1/2 I, in the same order of
     # operations: the assemblers add 1/2 on a diagonal in place and form
     # the products in the operators' memory, to the same bits.  A system
-    # is a fresh C-ordered array, not a view that keeps V, K and W alive.
+    # is a C-ordered array of its own, not a view that keeps V, K or W alive.
     grid = sample_grid(make_curve("cavity"), 32)
     mat = make_material(lam=2.0, mu=1.0, omega=10.0)
     inc = plane_wave(mat, [1.0, 0.0], [1.0, 0.0])
@@ -181,47 +181,52 @@ def test_kr_and_sc_assembly_keep_to_their_system():
         assert peak <= 16 * 2**20 + 5.5 * 2**20, (kind, peak / 2**20)
 
 
-def test_icfier_assembly_keeps_to_its_two_calderon_matrices():
+@pytest.mark.parametrize("kind", ["ICFIER", "DCFIER"])
+def test_regularized_transmission_assembly_keeps_to_its_blocks(kind):
     # The transmission-starfish preset's ICFIER cell at omega = 10, n = 128:
-    # C+ + C- and C- (16 MiB each), written in one pass over the node pairs,
-    # plus at most 5 MiB.  S R is formed in S's memory (36.0 MiB measured
-    # with S's rows mixed in cache-sized blocks; 38.2 MiB when an eighth of
-    # the modes was mixed at a time, 45.3 MiB when all pairs were evaluated
-    # at once and 66.2 MiB when S @ R also made a conjugate-transposed copy
-    # of S and a second array for its result).
+    # C+ + C- (16 MiB) and C-'s blocks [K-; W-] and -V- (12 MiB), written in
+    # one pass over the node pairs, plus at most 5 MiB.  The product with
+    # the regularizer is formed in the system's memory (32.1 MiB measured,
+    # against 36.0 MiB when C- was kept whole, 45.3 MiB when all pairs were
+    # evaluated at once and 66.2 MiB when S @ R also made a
+    # conjugate-transposed copy of S and a second array for its result).
     mp = make_material(lam=1.0, mu=1.0, omega=10.0)
     mm = make_material(lam=2.0, mu=8.0, omega=10.0)
     grid = sample_grid(make_curve("starfish"), 128)
     inc = plane_wave(mp, [1.0, 0.0], [1.0, 0.0])
-    calderon_bytes = (4 * grid.size) ** 2 * 16
     tracemalloc.start()
     try:
-        system = assemble_transmission("ICFIER", mp, mm, grid, incident=inc)
+        system = assemble_transmission(kind, mp, mm, grid, incident=inc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert system.operator.matrix.nbytes == calderon_bytes == 16 * 2**20
-    assert peak <= 2 * calderon_bytes + 5 * 2**20, peak / 2**20
+    assert system.operator.matrix.nbytes == 16 * 2**20
+    assert peak <= (16 + 12 + 5) * 2**20, peak / 2**20
 
 
-def test_neumann_assembly_keeps_to_its_three_matrices():
+@pytest.mark.parametrize("assemble,kind", [
+    (assemble_dirichlet, "CFIE"), (assemble_dirichlet, "CFIER"),
+    (assemble_neumann, "CFIE"), (assemble_neumann, "CFIER"),
+    (assemble_neumann, "DCFIER")], ids=lambda v: getattr(v, "__name__", v))
+def test_one_material_assembly_keeps_to_its_two_matrices(assemble, kind):
     # The multistatic benchmark's operator (cavity, (lam, mu) = (2, 1),
-    # omega = 20, n = 128): K, W and the system (4 MiB each) plus at most
-    # 1.5 MiB.  W's term is formed in W's memory before the system is
-    # allocated (CFIER 12.2 MiB measured, against 14.1 MiB when the system
-    # came first and 21.3 MiB when all pairs were evaluated at once).
+    # omega = 20, n = 128): one pass over the node pairs writes K (or -K^T,
+    # -K) into the 4 MiB system and V (or W) into one more 4 MiB array,
+    # plus at most 3.5 MiB (Neumann CFIER 11.1 MiB measured, against
+    # 12.2 MiB when the system was a fresh copy out of K, 14.1 MiB when it
+    # was allocated before W's term was formed and 21.3 MiB when all pairs
+    # were evaluated at once).
     mat = make_material(lam=2.0, mu=1.0, omega=20.0)
     grid = sample_grid(make_curve("cavity"), 128)
     inc = plane_wave(mat, [1.0, 0.0], [1.0, 0.0])
-    for kind in ("CFIE", "CFIER", "DCFIER"):
-        tracemalloc.start()
-        try:
-            system = assemble_neumann(kind, mat, grid, incident=inc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert system.operator.matrix.nbytes == 4 * 2**20
-        assert peak <= 3 * 4 * 2**20 + 1.5 * 2**20, (kind, peak / 2**20)
+    tracemalloc.start()
+    try:
+        system = assemble(kind, mat, grid, incident=inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.operator.matrix.nbytes == 4 * 2**20
+    assert peak <= 2 * 4 * 2**20 + 3.5 * 2**20, peak / 2**20
 
 
 def test_calderon_acts_as_half_on_exterior_and_interior_data(grid, mat):
@@ -270,14 +275,14 @@ def _no_assembly(*args, **kwargs):
 
 
 def test_unknown_dirichlet_formulation_fails_before_assembly(grid, mat, monkeypatch):
-    monkeypatch.setattr("elastobie.formulations.boundary_operators", _no_assembly)
+    monkeypatch.setattr("elastobie.formulations._assemble", _no_assembly)
     with pytest.raises(ValueError, match="'MFIE'"):
         assemble_dirichlet("MFIE", mat, grid,
                            incident=plane_wave(mat, [1.0, 0.0], [1.0, 0.0]))
 
 
 def test_unknown_transmission_formulation_fails_before_assembly(grid, mat, monkeypatch):
-    monkeypatch.setattr("elastobie.formulations.boundary_operators", _no_assembly)
+    monkeypatch.setattr("elastobie.formulations._assemble", _no_assembly)
     with pytest.raises(ValueError, match="'XX'"):
         assemble_transmission("XX", mat, mat, grid,
                               incident=plane_wave(mat, [1.0, 0.0], [1.0, 0.0]))

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.special import hankel1, j0, j1
 
-from elastobie import (assemble_transmission, kernel_split, kernels, make_curve,
-                       make_material, plane_wave, sample_grid, trace_and_traction)
+from elastobie import (assemble_dirichlet, assemble_neumann, assemble_transmission,
+                       kernel_split, kernels, make_curve, make_material, plane_wave,
+                       sample_grid, trace_and_traction)
 from elastobie.formulations import boundary_operators, calderon_matrix
 from elastobie.kernels import TAGS, _LIMIT_WEIGHTS, _STEPS, _c_hs, _c_pv
-from elastobie.multipliers import make_transmission_regularizer
+from elastobie.multipliers import make_transmission_regularizer, ps_dtn
 from elastobie.quadrature import assemble_bio, build_quadrature, flatten_density
 from elastobie.special import _family, radial_suite
 
@@ -236,9 +237,13 @@ def test_assembly_is_the_same_for_every_pair_block(curve, n, monkeypatch):
     # Blocks of less than one row (row 0 holds N - 1 pairs, so blocks start
     # and end inside rows), the default, and one block of all pairs: every
     # entry is computed elementwise, so the operators agree to the bit.  At
-    # n = 64 each transmission system, whose one pass over the pairs
-    # evaluates both materials, equals its formula (and its right-hand side)
-    # from two calderon_matrix calls to the bit as well.
+    # n = 64 each Dirichlet and Neumann system, whose pass writes K (or -K^T,
+    # -K) into the system itself, equals its formula from
+    # boundary_operators, and each transmission system, whose one pass over
+    # the pairs evaluates both materials, its formula from two
+    # calderon_matrix calls, both with their right-hand sides and to the
+    # bit; the regularized transmission systems' pass writes arrays of two
+    # widths.
     material = make_material(2.0, 1.0, 20.0)
     grid = sample_grid(make_curve(curve), n)
     N = grid.size
@@ -246,6 +251,7 @@ def test_assembly_is_the_same_for_every_pair_block(curve, n, monkeypatch):
         (lambda tags=tags: list(boundary_operators(material, grid, tags).values()), None)
         for k in (1, 2, 3) for tags in itertools.combinations(TAGS, k)]
     if n == 64:
+        builds += _one_material_builds(grid, material)
         builds += _transmission_builds(grid, make_material(1.0, 1.0, 20.0), material)
     default = kernels._PAIR_BLOCK
     for build, want in builds:
@@ -260,6 +266,30 @@ def test_assembly_is_the_same_for_every_pair_block(curve, n, monkeypatch):
             got = build()
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), block
+
+
+def _one_material_builds(grid, material):
+    """(build, want) of each Dirichlet and Neumann system: the system's
+    matrix and right-hand side, and the same from its formula on V, K and W."""
+    inc = plane_wave(material, [1.0, 0.0], [1.0, 0.0])
+    cd = trace_and_traction(inc, grid, material)
+    trace, traction = flatten_density(cd.trace), flatten_density(cd.traction)
+    ops = boundary_operators(material, grid)
+    K, V, W = ops["K"], ops["V"], ops["W"]
+    half = 0.5 * np.eye(len(K))
+    regD = ps_dtn(material, "exterior", kappa=material.kappa, n_max=grid.n)
+    regN = regD.inv()
+    formulas = {
+        (assemble_dirichlet, "CFIE"): (half + K - 1j * material.eta_dirichlet * V, -trace),
+        (assemble_dirichlet, "CFIER"): (half + K - V @ regD, -trace),
+        (assemble_neumann, "CFIE"): (half - K.T + 1j * material.eta_neumann * W, -traction),
+        (assemble_neumann, "CFIER"): (half - K.T + W @ regN, -traction),
+        (assemble_neumann, "DCFIER"): (half - K + regN @ W, trace - regN @ traction)}
+
+    def build(assemble, kind):
+        system = assemble(kind, material, grid, incident=inc)
+        return [system.operator.matrix, system.rhs]
+    return [(lambda key=key: build(*key), list(want)) for key, want in formulas.items()]
 
 
 def _transmission_builds(grid, mp, mm):
