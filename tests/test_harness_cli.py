@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 import elastobie
+from elastobie import kernels
 from elastobie.cli import main
 from elastobie.harness import (CSV_COLUMNS, PRESETS, ReportRow, emit_table,
                                run_experiment)
@@ -171,8 +172,18 @@ def _no_assembly(*args, **kwargs):
     raise AssertionError("operators assembled for a config that cannot run")
 
 
+def _forbid_assembly(monkeypatch):
+    """Make every node-pair pass raise. Each module binds kernels._assemble
+    by name, so every elastobie module that holds it gets the patch."""
+    assemble = kernels._assemble
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "elastobie"
+                and getattr(module, "_assemble", None) is assemble):
+            monkeypatch.setattr(module, "_assemble", _no_assembly)
+
+
 def test_manufactured_plane_wave_incidence_fails_early(monkeypatch):
-    monkeypatch.setattr("elastobie.harness.boundary_operators", _no_assembly)
+    _forbid_assembly(monkeypatch)
     config = dict(MANUFACTURED,
                   incidence={"type": "P", "direction": [0.0, -1.0]})
     with pytest.raises(ValueError, match="incidence.type"):
@@ -180,7 +191,7 @@ def test_manufactured_plane_wave_incidence_fails_early(monkeypatch):
 
 
 def test_unknown_manufactured_formulation_fails_early(monkeypatch):
-    monkeypatch.setattr("elastobie.harness.boundary_operators", _no_assembly)
+    _forbid_assembly(monkeypatch)
     config = dict(MANUFACTURED, formulations=[{"name": "V"}, {"name": "X"}])
     with pytest.raises(ValueError, match="'X'"):
         run_experiment(config)
@@ -188,9 +199,7 @@ def test_unknown_manufactured_formulation_fails_early(monkeypatch):
 
 @pytest.mark.parametrize("label", ["CFIE(eta=1,tuned)", "CFIE\nx", "CFIER\r"])
 def test_label_the_csv_cannot_hold_fails_early(monkeypatch, label):
-    monkeypatch.setattr("elastobie.harness.boundary_operators", _no_assembly)
-    monkeypatch.setattr("elastobie.formulations.boundary_operators",
-                        _no_assembly)
+    _forbid_assembly(monkeypatch)
     config = dict(SMOKE, formulations=[{"name": "CFIER"},
                                        {"name": "CFIE", "label": label}])
     with pytest.raises(ValueError, match=r"formulations\[1\]\.label"):
@@ -204,6 +213,14 @@ TRANSMISSION_KR = dict(TRANSMISSION, materials={
     "exterior": {"lam": 1.0, "mu": 1.0}, "interior": {"lam": 2.0, "mu": 8.0}})
 
 
+def test_forbid_assembly_reaches_every_assembler(monkeypatch):
+    _forbid_assembly(monkeypatch)
+    for config in (SMOKE, MANUFACTURED, TRANSMISSION_KR,
+                   dict(TRANSMISSION_KR, formulations=[{"name": "OS"}])):
+        with pytest.raises(AssertionError, match="cannot run"):
+            run_experiment(config)
+
+
 @pytest.mark.parametrize("field, config", [
     ("problem", {k: v for k, v in SMOKE.items() if k != "problem"}),
     ("geometry.kind", dict(SMOKE, geometry={})),
@@ -215,9 +232,7 @@ TRANSMISSION_KR = dict(TRANSMISSION, materials={
     ("cases", {k: v for k, v in SMOKE.items() if k != "cases"}),
 ])
 def test_missing_config_field_fails_early(monkeypatch, field, config):
-    for module in ("harness", "formulations"):
-        monkeypatch.setattr(f"elastobie.{module}.boundary_operators",
-                            _no_assembly)
+    _forbid_assembly(monkeypatch)
     with pytest.raises(ValueError, match=f"required field '{re.escape(field)}'"):
         run_experiment(config)
 
@@ -290,9 +305,7 @@ def test_missing_config_field_fails_early(monkeypatch, field, config):
     ("problem", dict(SMOKE, problem=["dirichlet"])),
 ])
 def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
-    for module in ("harness", "formulations"):
-        monkeypatch.setattr(f"elastobie.{module}.boundary_operators",
-                            _no_assembly)
+    _forbid_assembly(monkeypatch)
     with pytest.raises(ValueError, match=re.escape(field)):
         run_experiment(config)
 
@@ -302,9 +315,7 @@ def test_config_value_no_cell_can_run_fails_early(monkeypatch, field, config):
     ("ELASTOBIE_THREADS", None, "two"), ("ELASTOBIE_THREADS", None, "0"),
 ])
 def test_bad_thread_count_fails_early(monkeypatch, source, threads, env):
-    for module in ("harness", "formulations"):
-        monkeypatch.setattr(f"elastobie.{module}.boundary_operators",
-                            _no_assembly)
+    _forbid_assembly(monkeypatch)
     monkeypatch.delenv("ELASTOBIE_THREADS", raising=False)
     if env is not None:
         monkeypatch.setenv("ELASTOBIE_THREADS", env)
